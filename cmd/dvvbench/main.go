@@ -13,10 +13,9 @@
 //	dvvbench -experiment pruning        # C4: pruning safety
 //	dvvbench -experiment ablation       # A1: DVV vs DVVSet
 //	dvvbench -experiment churn          # E1: elastic membership under writes
-//	dvvbench -experiment saturate       # E3: transport saturation (lockstep vs mux over real TCP)
 //	dvvbench -experiment nemesis        # E4: partition convergence under a fault-injecting nemesis
 //	dvvbench -experiment tiered         # D4: bounded-memory tiered engine vs all-memory
-//	dvvbench -experiment merkle         # E5: anti-entropy repair cost, scan vs digest vs hash-tree walk
+//	dvvbench -experiment merkle         # E5: anti-entropy repair cost of the hash-tree walk
 //	dvvbench -experiment sessions       # E6: causal sessions + per-request consistency levels
 //	dvvbench -experiment overload       # E7: open-loop overload + sick replica, protected vs unprotected
 //	dvvbench -churn                     # shorthand for -experiment churn
@@ -47,7 +46,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("dvvbench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "fig1|verdict|compare|metadata|siblings|riak|pruning|ablation|churn|crash|durability|saturate|nemesis|tiered|merkle|sessions|overload|all")
+		experiment = fs.String("experiment", "all", "fig1|verdict|compare|metadata|siblings|riak|pruning|ablation|churn|crash|durability|nemesis|tiered|merkle|sessions|overload|all")
 		churn      = fs.Bool("churn", false, "shorthand for -experiment churn (elastic membership scenario)")
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut    = fs.Bool("json", false, "emit one JSON document with every table (for BENCH_*.json trajectory snapshots)")
@@ -164,23 +163,6 @@ func run(args []string) error {
 				return err
 			}
 			emit(table)
-		case "saturate":
-			cfg := sim.DefaultSaturateConfig()
-			cfg.Seed = *seed
-			if *ops > 0 {
-				cfg.OpsPerClient = *ops
-			}
-			if *clients > 0 {
-				cfg.ClientLevels = []int{*clients}
-			}
-			if *nodes > 0 {
-				cfg.Nodes = *nodes
-			}
-			_, table, err := sim.RunSaturate(cfg)
-			if err != nil {
-				return err
-			}
-			emit(table)
 		case "durability":
 			cfg := sim.DefaultDurabilityConfig()
 			cfg.Seed = *seed
@@ -272,7 +254,7 @@ func run(args []string) error {
 		*experiment = "churn"
 	}
 	if *experiment == "all" {
-		for _, name := range []string{"fig1", "verdict", "compare", "metadata", "siblings", "riak", "pruning", "ablation", "churn", "crash", "durability", "tiered", "saturate", "nemesis", "merkle", "sessions", "overload"} {
+		for _, name := range []string{"fig1", "verdict", "compare", "metadata", "siblings", "riak", "pruning", "ablation", "churn", "crash", "durability", "tiered", "nemesis", "merkle", "sessions", "overload"} {
 			if err := runOne(name); err != nil {
 				return err
 			}

@@ -102,8 +102,6 @@ func serve(args []string) error {
 		fsync  = fs.Bool("fsync", true, "fsync every WAL commit before acking a write (with -data); off trades the unsynced tail for latency")
 		engine = fs.String("engine", "memory", "storage engine (with -data): memory (whole keyspace resident) or tiered (byte-budgeted hot cache over spill segments)")
 		budget = fs.Int64("mem-budget", 0, "tiered engine hot-cache byte budget (0 = default 64 MiB)")
-		aeMode = fs.String("ae", "tree", "anti-entropy exchange: tree (incremental hash-tree walk), digest (legacy Merkle leaf dump) or scan (flat key/hash exchange)")
-		trans  = fs.String("transport", "mux", "wire transport: mux (multiplexed, one conn per peer pair) or lockstep (one exchange per pooled conn); every node and client must agree")
 
 		maxInflight = fs.Int("max-inflight", 0, "admission control: max in-flight coordinator requests; excess queue briefly, then shed with an overload error (0 disables)")
 		queueTarget = fs.Duration("queue-target", 0, "admission queue-delay bound before a queued request is shed (with -max-inflight; 0 = 5ms)")
@@ -127,10 +125,7 @@ func serve(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown mechanism %q", *mech)
 	}
-	tcp, err := newNetTransport(*trans, dot.ID(*id), addrs)
-	if err != nil {
-		return err
-	}
+	tcp := transport.NewMux(dot.ID(*id), addrs)
 	if err := tcp.Listen(); err != nil {
 		return err
 	}
@@ -156,7 +151,6 @@ func serve(args []string) error {
 		Fsync:               *fsync,
 		Engine:              *engine,
 		MemBudget:           *budget,
-		AEMode:              *aeMode,
 		MaxInFlight:         *maxInflight,
 		QueueTarget:         *queueTarget,
 		BreakerFailures:     *brkFails,
@@ -215,36 +209,10 @@ func serve(args []string) error {
 	return nil
 }
 
-// netTransport is the shape shared by both real-network transports.
-type netTransport interface {
-	transport.Transport
-	transport.AddrBook
-	Listen() error
-}
-
-// newNetTransport builds the chosen wire transport. The default is the
-// multiplexed one; "lockstep" keeps the one-exchange-per-connection
-// baseline (A/B benching, older peers). A deployment must be uniform —
-// the two framings are not interoperable.
-func newNetTransport(kind string, self dot.ID, addrs map[dot.ID]string) (netTransport, error) {
-	switch kind {
-	case "mux":
-		return transport.NewMux(self, addrs), nil
-	case "lockstep":
-		return transport.NewTCP(self, addrs), nil
-	default:
-		return nil, fmt.Errorf("unknown -transport %q (want mux or lockstep)", kind)
-	}
-}
-
-// clientTransport builds a one-shot client transport to addr.
-func clientTransport(kind, addr string) (netTransport, dot.ID, error) {
+// clientTransport builds a one-shot dial-only client transport to addr.
+func clientTransport(addr string) (*transport.Mux, dot.ID) {
 	server := dot.ID("server")
-	t, err := newNetTransport(kind, "cli", map[dot.ID]string{server: addr})
-	if err != nil {
-		return nil, "", err
-	}
-	return t, server, nil
+	return transport.NewMux("cli", map[dot.ID]string{server: addr}), server
 }
 
 func clientGet(args []string) error {
@@ -256,7 +224,6 @@ func clientGet(args []string) error {
 		nfOK   = fs.Bool("notfound-ok", true, "treat a missing key as an empty success; with =false a miss is an error")
 		ctxHex = fs.String("context", "", "session floor (hex context from a previous get/put): the read blocks until the answer dominates it")
 		mech   = fs.String("mechanism", "dvv", "mechanism the cluster runs")
-		trans  = fs.String("transport", "mux", "wire transport the cluster speaks (mux|lockstep)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -280,10 +247,7 @@ func clientGet(args []string) error {
 		}
 		opts.Session = sess
 	}
-	t, server, err := clientTransport(*trans, *addr)
-	if err != nil {
-		return err
-	}
+	t, server := clientTransport(*addr)
 	defer t.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -331,7 +295,6 @@ func clientPut(args []string) error {
 		level  = fs.String("consistency", "", "write consistency level: one, quorum, all or default (the node's configured W)")
 		client = fs.String("client", "cli", "client identity")
 		mech   = fs.String("mechanism", "dvv", "mechanism the cluster runs")
-		trans  = fs.String("transport", "mux", "wire transport the cluster speaks (mux|lockstep)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -355,10 +318,7 @@ func clientPut(args []string) error {
 		}
 		opts.Context = wctx
 	}
-	t, server, err := clientTransport(*trans, *addr)
-	if err != nil {
-		return err
-	}
+	t, server := clientTransport(*addr)
 	defer t.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -384,14 +344,10 @@ func clientPut(args []string) error {
 func clientStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7001", "node address")
-	trans := fs.String("transport", "mux", "wire transport the cluster speaks (mux|lockstep)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	t, server, err := clientTransport(*trans, *addr)
-	if err != nil {
-		return err
-	}
+	t, server := clientTransport(*addr)
 	defer t.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -62,9 +62,8 @@
 // Above it, replica-state pushes — put fan-out, read repair, hints,
 // anti-entropy — coalesce per destination into batched repl.batch frames
 // (node.Config.ReplBatchKeys), cutting messages per acknowledged put by
-// more than half under concurrency; the E3 saturation experiment
-// (dvvbench -experiment saturate) measures the whole path over real TCP
-// loopback against the lockstep baseline.
+// more than half under concurrency. The benchmark ledger in benchmark/
+// measures the whole path over real TCP loopback.
 //
 // Replicas are crash-safe when given a data directory (storage.Open,
 // node.Config.DataDir, dvvstore -data): every mutation is written ahead

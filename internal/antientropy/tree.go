@@ -1,15 +1,16 @@
-// The incrementally-maintained hash tree behind the ae.tree walk. The
-// two-level Digest in merkle.go is rebuilt from every key hash on every
-// exchange — O(keyspace) per anti-entropy tick even when nothing
-// diverged. Tree is the fix: a fixed-geometry tree over the same
-// XOR-folded leaf buckets, but the leaves are updated in place at state
-// install time (the per-key fold is commutative and self-inverse, so an
-// install XORs the old contribution out and the new one in), and the
-// interior levels are re-derived lazily only when a leaf changed. Two
-// replicas with identical key/state-hash sets hold bit-identical trees
-// regardless of install order, shard count or engine, which is what lets
-// the node layer compare roots in O(1) and descend only into differing
-// subtrees.
+// Package antientropy provides the incrementally-maintained hash tree
+// behind the ae.tree anti-entropy walk: instead of exchanging every key's
+// hash, two replicas compare roots and descend only into the subtrees
+// that differ, so the exchange costs O(divergence · depth) rather than
+// O(keyspace).
+//
+// The tree has a fixed geometry over XOR-folded leaf buckets. Leaves are
+// updated in place at state install time (the per-key fold is
+// commutative and self-inverse, so an install XORs the old contribution
+// out and the new one in), and the interior levels are re-derived lazily
+// only when a leaf changed. Two replicas with identical key/state-hash
+// sets hold bit-identical trees regardless of install order, shard count
+// or engine, which is what lets the node layer compare roots in O(1).
 package antientropy
 
 import (
@@ -84,8 +85,8 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// TreeBucketOf maps a key to its leaf bucket. Same FNV-1a + modulus rule
-// as BucketOf, over the fixed TreeLeaves geometry.
+// TreeBucketOf maps a key to its leaf bucket: FNV-1a of the key modulo
+// the fixed TreeLeaves geometry.
 func TreeBucketOf(key string) int {
 	return int(fnv64(key) % TreeLeaves)
 }

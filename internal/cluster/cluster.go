@@ -83,11 +83,6 @@ type Config struct {
 	// (see node.Config); 0 means node.DefaultRepairConcurrency.
 	RepairConcurrency int
 
-	// AEMode selects each node's anti-entropy exchange (see
-	// node.Config.AEMode): empty or "tree" walks the incremental hash
-	// tree; "digest" and "scan" are the legacy baselines.
-	AEMode string
-
 	// Overload plane (see the matching node.Config fields): admission
 	// control per node (MaxInFlight/QueueTarget), per-peer circuit
 	// breakers (BreakerFailures/BreakerCooldown/BreakerLatency), hedged
@@ -261,7 +256,6 @@ func (c *Cluster) startNode(id dot.ID, seedOffset int64) (*node.Node, error) {
 		Fsync:               c.cfg.Fsync,
 		Engine:              c.cfg.Engine,
 		MemBudget:           c.cfg.MemBudget,
-		AEMode:              c.cfg.AEMode,
 		Seed:                c.cfg.Seed + seedOffset,
 		MaxInFlight:         c.cfg.MaxInFlight,
 		QueueTarget:         c.cfg.QueueTarget,

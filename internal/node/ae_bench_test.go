@@ -1,13 +1,12 @@
 package node
 
-// BenchmarkAETick measures one anti-entropy tick per exchange mode
-// (scan, digest, tree) across keyspace sizes and divergence fractions.
-// The pair is seeded once per keyspace size; each iteration re-diverges
-// the same key subset with fresh values, so the tick always has real
-// work proportional to the divergence fraction — and at zero divergence
-// it measures the steady-state cost of a converged tick, where the tree
-// walk's O(1) root compare should dominate the flat paths' keyspace
-// scans.
+// BenchmarkAETick measures one anti-entropy tick (the ae.tree walk plus
+// reconciliation) across keyspace sizes and divergence fractions. The
+// pair is seeded once per keyspace size; each iteration re-diverges the
+// same key subset with fresh values, so the tick always has real work
+// proportional to the divergence fraction — and at zero divergence it
+// measures the steady-state cost of a converged tick, which should be one
+// root compare whatever the keyspace size.
 
 import (
 	"context"
@@ -81,28 +80,25 @@ func (p *benchPair) diverge(b *testing.B, n int) {
 
 func BenchmarkAETick(b *testing.B) {
 	for _, keys := range []int{10_000, 100_000} {
-		// One seeded pair serves every mode and divergence at this size:
-		// each tick leaves the pair converged, so runs are independent.
+		// One seeded pair serves every divergence at this size: each tick
+		// leaves the pair converged, so runs are independent.
 		pair := newBenchPair(b, keys)
 		for _, div := range []float64{0, 0.0001, 0.01} {
-			for _, mode := range []string{AEModeScan, AEModeDigest, AEModeTree} {
-				name := fmt.Sprintf("%s/keys=%d/div=%g", mode, keys, div)
-				b.Run(name, func(b *testing.B) {
-					diff := int(float64(keys) * div)
-					ctx := context.Background()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if diff > 0 {
-							b.StopTimer()
-							pair.diverge(b, diff)
-							b.StartTimer()
-						}
-						if err := pair.a.antiEntropyWithMode(ctx, pair.b.ID(), mode); err != nil {
-							b.Fatal(err)
-						}
+			b.Run(fmt.Sprintf("keys=%d/div=%g", keys, div), func(b *testing.B) {
+				diff := int(float64(keys) * div)
+				ctx := context.Background()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if diff > 0 {
+						b.StopTimer()
+						pair.diverge(b, diff)
+						b.StartTimer()
 					}
-				})
-			}
+					if err := pair.a.AntiEntropyWith(ctx, pair.b.ID()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

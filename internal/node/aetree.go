@@ -1,18 +1,16 @@
-// Hash-tree anti-entropy: the ae.tree walk.
+// Hash-tree anti-entropy: the ae.tree walk, the node's only anti-entropy
+// exchange.
 //
-// The flat ae.digest exchange ships every leaf of a freshly rebuilt
-// two-level Merkle digest on every tick — O(keyspace) CPU on both sides
-// and O(buckets) bytes even when the replicas are identical. ae.tree
-// replaces it with a root-first walk over the incrementally-maintained
-// hash tree both storage engines keep at install time (see
-// antientropy.Tree): the initiator sends the hashes of its current
-// frontier (just the root on round one), the responder answers each node
-// with "equal", the child hashes of a differing interior node, or the
-// (key, hash) pairs of a differing leaf bucket. Converged replicas spend
-// one round trip and ~20 bytes; divergence costs O(diff · depth) node
-// compares instead of a keyspace scan. Reconciliation of the diverging
-// keys then reuses the same pull (repl.get + SyncKey) and push
-// (repl.batch) machinery as the flat paths.
+// The walk runs root-first over the incrementally-maintained hash tree
+// both storage engines keep at install time (see antientropy.Tree): the
+// initiator sends the hashes of its current frontier (just the root on
+// round one), the responder answers each node with "equal", the child
+// hashes of a differing interior node, or the (key, hash) pairs of a
+// differing leaf bucket. Converged replicas spend one round trip and ~20
+// bytes; divergence costs O(diff · depth) node compares instead of a
+// keyspace scan. Reconciliation of the diverging keys then reuses the
+// pull (repl.get + SyncKey) and push (repl.batch) machinery of the rest
+// of the replication plane.
 package node
 
 import (
@@ -22,21 +20,7 @@ import (
 	"repro/internal/transport"
 
 	"context"
-	"fmt"
 	"sort"
-)
-
-// Anti-entropy exchange modes accepted by Config.AEMode.
-const (
-	// AEModeTree (the default) walks the incremental hash tree root-first
-	// and touches only diverging subtrees.
-	AEModeTree = "tree"
-	// AEModeDigest is the previous default: a flat (key, hash) exchange
-	// below aeDigestThreshold keys, the rebuilt two-level Merkle leaf dump
-	// above it. Kept as the A/B baseline for benches and experiments.
-	AEModeDigest = "digest"
-	// AEModeScan always ships every (key, hash) pair — the naive baseline.
-	AEModeScan = "scan"
 )
 
 // aeTreeBatch bounds how many tree nodes one ae.tree request may carry.
@@ -151,9 +135,7 @@ func (n *Node) handleAETree(body []byte) transport.Response {
 // proceeds breadth-first: each round ships the current frontier (capped
 // at aeTreeBatch per frame), and a differing leaf contributes its keys to
 // the reconciliation scope. Afterwards the diverging keys are pulled from
-// the peer and the merged states pushed back, exactly like the flat
-// paths — so convergence semantics are identical, only detection cost
-// changes.
+// the peer and the merged states pushed back, so the peer converges too.
 func (n *Node) antiEntropyTree(ctx context.Context, peer dot.ID) error {
 	root := antientropy.TreeRootLevel()
 	frontier := []aeTreeItem{{level: root, index: 0, hash: n.store.TreeDigest(root, 0)}}
@@ -270,24 +252,4 @@ func (n *Node) antiEntropyTree(ctx context.Context, peer dot.ID) error {
 	sort.Strings(scoped)
 	n.pushStates(ctx, peer, scoped)
 	return nil
-}
-
-// antiEntropyWithMode runs one reconciliation with peer under an explicit
-// mode — the dispatch behind AntiEntropyWith, kept separate so benches
-// and experiments can A/B the exchanges on one seeded node pair.
-func (n *Node) antiEntropyWithMode(ctx context.Context, peer dot.ID, mode string) error {
-	switch mode {
-	case "", AEModeTree:
-		return n.antiEntropyTree(ctx, peer)
-	case AEModeDigest:
-		keys := n.store.Keys()
-		if len(keys) > aeDigestThreshold {
-			return n.antiEntropyDigest(ctx, peer, keys)
-		}
-		return n.antiEntropyScan(ctx, peer, keys)
-	case AEModeScan:
-		return n.antiEntropyScan(ctx, peer, n.store.Keys())
-	default:
-		return fmt.Errorf("node: unknown anti-entropy mode %q", mode)
-	}
 }

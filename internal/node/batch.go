@@ -1,22 +1,23 @@
 package node
 
-// Batched replication: the per-peer coalescing queue behind replPutBatched.
+// Batched replication: the per-peer coalescing queue behind
+// replBatcher.push.
 //
 // Every replica-state push — coordinator fan-out during puts, sloppy-quorum
 // fallbacks, read repair, hint redelivery, anti-entropy reconciliation —
 // funnels through one queue per destination peer. Pushes that arrive while
 // a frame to that peer is on the wire coalesce into the next frame, so N
 // concurrent single-key pushes become ceil(N/ReplBatchKeys) repl.batch
-// RPCs instead of N lockstep repl.put exchanges. The frame shape is the
-// Sync-mergeable (key, state)* stream of handoff.batch, and the receiver
-// folds every pair in with Store.SyncKey, so a batch is idempotent and
-// safe to interleave with live writes — exactly the property that makes
-// coalescing correct: merging is order-insensitive and repeat-tolerant.
+// RPCs instead of N round trips. The frame shape is the Sync-mergeable
+// (key, state)* stream of handoff.batch, and the receiver folds every pair
+// in with Store.SyncKey, so a batch is idempotent and safe to interleave
+// with live writes — exactly the property that makes coalescing correct:
+// merging is order-insensitive and repeat-tolerant.
 //
 // An ack covers the whole frame (the handler fails the RPC on the first
 // state it cannot persist), so a caller's push resolves with the fate of
-// the frame that carried its key — the same durability promise repl.put
-// gave, amortized.
+// the frame that carried its key — a per-key durability promise,
+// amortized.
 
 import (
 	"context"
@@ -108,8 +109,8 @@ func (b *replBatcher) push(ctx context.Context, peer dot.ID, key string, st core
 		return err
 	case <-ctx.Done():
 		// The item stays queued and will still be sent (replication
-		// outliving a caller's deadline is the existing repl.put
-		// discipline); only this caller's wait is cut short.
+		// outlives a caller's deadline); only this caller's wait is cut
+		// short.
 		return ctx.Err()
 	}
 }
@@ -152,9 +153,9 @@ func (b *replBatcher) drain(q *peerQueue, err error) {
 
 // sendReplBatch encodes as many leading items as fit one frame (at most
 // ReplBatchKeys pairs, stopping past replBatchSoftBytes) and sends it on
-// a fresh node-timeout budget, with the same suspicion bookkeeping as
-// replPut. It returns how many items the frame consumed (≥ 1) and the
-// frame's fate.
+// a fresh node-timeout budget, with the same breaker and suspicion
+// bookkeeping as replGet. It returns how many items the frame consumed
+// (≥ 1) and the frame's fate.
 func (n *Node) sendReplBatch(peer dot.ID, items []batchItem) (int, error) {
 	if berr := n.breakerAllow(peer); berr != nil {
 		// Fail the whole frame fast: every item was bound for the same
@@ -201,14 +202,4 @@ func (n *Node) sendReplBatch(peer dot.ID, items []batchItem) (int, error) {
 		s.BatchedKeys += uint64(count)
 	})
 	return count, nil
-}
-
-// replPutBatched pushes one replica state to peer through the coalescing
-// queue; with batching disabled (Config.NoReplBatch — the A/B baseline)
-// it degrades to the lockstep repl.put exchange.
-func (n *Node) replPutBatched(ctx context.Context, peer dot.ID, key string, st core.State) error {
-	if n.cfg.NoReplBatch || n.batcher == nil {
-		return n.replPut(ctx, peer, key, st)
-	}
-	return n.batcher.push(ctx, peer, key, st)
 }

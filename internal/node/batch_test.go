@@ -84,28 +84,6 @@ func clusterOnTransport(t *testing.T, tr transport.Transport, n int, cfg func(*C
 	return nodes, tr, r
 }
 
-// TestReplBatchDisabled: with NoReplBatch the node must speak the
-// lockstep repl.put protocol only.
-func TestReplBatchDisabled(t *testing.T) {
-	nodes, _, _ := testCluster(t, 2, func(c *Config) {
-		c.N, c.R, c.W = 2, 1, 2
-		c.NoReplBatch = true
-	})
-	a, b := nodes[0], nodes[1]
-	for i := 0; i < 5; i++ {
-		key := "nb-" + string(rune('a'+i))
-		if _, err := a.CoordinatePut(context.Background(), key, []byte("v"), "cli", WriteOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := a.Stats(); st.ReplBatches != 0 || st.BatchedKeys != 0 {
-		t.Fatalf("batched stats with NoReplBatch: %+v", st)
-	}
-	if st := b.Stats(); st.ReplPuts == 0 {
-		t.Fatal("peer saw no repl.put traffic")
-	}
-}
-
 // TestHandleReplBatch exercises the handler directly: a well-formed
 // frame applies every state; garbage must error without panicking.
 func TestHandleReplBatch(t *testing.T) {
@@ -186,8 +164,8 @@ func TestAntiEntropyContinuesPastFailedRepair(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	// a reconciles with b: the ae.diff exchange succeeds (b reports the
-	// keys missing), but every push back to b fails.
+	// a reconciles with b: the ae.tree walk succeeds (b's leaf buckets
+	// lack the keys), but every push back to b fails.
 	if err := a.AntiEntropyWith(ctx, b.ID()); err != nil {
 		t.Fatalf("sweep aborted: %v", err)
 	}
@@ -224,7 +202,7 @@ func TestBatcherShutdownDrains(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	err := a.replPutBatched(ctx, b.ID(), "sd", st)
+	err := a.batcher.push(ctx, b.ID(), "sd", st)
 	if err == nil {
 		t.Fatal("push after Close succeeded")
 	}

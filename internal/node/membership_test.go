@@ -316,8 +316,8 @@ func TestStatsRoundTripNewCounters(t *testing.T) {
 // TestJoinLeaveOverTCP is the dvvstore `-join` flow over real sockets:
 // each process has a private ring and learns membership by gossip.
 func TestJoinLeaveOverTCP(t *testing.T) {
-	mkNode := func(id dot.ID) (*Node, *transport.TCP) {
-		tr := transport.NewTCP(id, map[dot.ID]string{id: "127.0.0.1:0"})
+	mkNode := func(id dot.ID) (*Node, *transport.Mux) {
+		tr := transport.NewMux(id, map[dot.ID]string{id: "127.0.0.1:0"})
 		if err := tr.Listen(); err != nil {
 			t.Fatal(err)
 		}

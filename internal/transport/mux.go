@@ -14,8 +14,7 @@ import (
 )
 
 // Mux is the multiplexed TCP transport: one long-lived connection per
-// peer pair carrying many concurrent in-flight requests, instead of the
-// lockstep transport's one-exchange-per-connection discipline.
+// peer pair carrying many concurrent in-flight requests.
 //
 // Every message is a codec length frame whose payload starts with a kind
 // byte:
@@ -213,7 +212,10 @@ func (t *Mux) Peers() map[dot.ID]string {
 }
 
 // Deregister forgets a peer: its address and backoff state are dropped
-// and its connection (with every in-flight request on it) is failed.
+// and every request this transport has in flight to it fails. The
+// connection itself stays up until the peer or Close tears it down, so a
+// response to a request the peer sent still reaches it — member.leave
+// deregisters the leaver from inside the handler answering it.
 // Deregistering self clears the handler.
 func (t *Mux) Deregister(id dot.ID) {
 	t.mu.Lock()
@@ -225,15 +227,16 @@ func (t *Mux) Deregister(id dot.ID) {
 	delete(t.addrs, id)
 	delete(t.dial, id)
 	c := t.conns[id]
+	delete(t.conns, id)
 	t.mu.Unlock()
 	if c != nil {
-		c.fail(fmt.Errorf("%w: peer %s deregistered", ErrUnreachable, id))
+		c.abandon(fmt.Errorf("%w: peer %s deregistered", ErrUnreachable, id))
 	}
 }
 
 // BytesSent returns the cumulative framed bytes this transport wrote
 // (payload plus codec.FrameOverhead per frame) — the wire-traffic
-// counter the saturation experiment reads.
+// counter the experiments and the benchmark read.
 func (t *Mux) BytesSent() uint64 { return t.bytesSent.Load() }
 
 // MessagesSent returns the number of frames this transport wrote
@@ -245,8 +248,8 @@ func (t *Mux) MessagesSent() uint64 { return t.msgsSent.Load() }
 func (t *Mux) Flushes() uint64 { return t.flushes.Load() }
 
 // Reconnects counts connections re-established to peers this transport
-// had already been connected to — conn churn that the lockstep transport
-// pays per failed exchange and the mux pays only on real failures.
+// had already been connected to — conn churn, paid only on real
+// connection failures.
 func (t *Mux) Reconnects() uint64 { return t.reconnects.Load() }
 
 // ---------------------------------------------------------------------------
@@ -495,6 +498,22 @@ func (c *muxConn) fail(err error) {
 		delete(t.conns, c.peer)
 	}
 	t.mu.Unlock()
+}
+
+// abandon resolves every request this side has pending on the connection
+// with err, leaving the socket and its loops running.
+func (c *muxConn) abandon(err error) {
+	c.mu.Lock()
+	if c.failed {
+		c.mu.Unlock()
+		return
+	}
+	pend := c.pending
+	c.pending = make(map[uint64]chan muxResult)
+	c.mu.Unlock()
+	for _, ch := range pend {
+		ch <- muxResult{err: err} // buffered 1, one send per entry
+	}
 }
 
 func (c *muxConn) readLoop() {

@@ -31,6 +31,21 @@ func newMuxPair(t *testing.T) (*Mux, *Mux) {
 	return a, b
 }
 
+// eventually polls cond until it holds, failing the test with msg once a
+// deadline passes. Meter counters are bumped by the writer loop after the
+// kernel write returns, so a response can reach its caller before the
+// request frame — or, on the peer, the response frame — is counted.
+func eventually(t *testing.T, cond func() bool, msg func() string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(msg())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestMuxSendReceive(t *testing.T) {
 	a, b := newMuxPair(t)
 	b.Register("b", echoHandler("mux-"))
@@ -44,15 +59,12 @@ func TestMuxSendReceive(t *testing.T) {
 	if _, err := a.Send(context.Background(), "a", "b", Request{Method: "get", Body: []byte("k2")}); err != nil {
 		t.Fatal(err)
 	}
-	if a.MessagesSent() < 3 { // hello + 2 requests
-		t.Fatalf("MessagesSent = %d, want >= 3", a.MessagesSent())
-	}
-	if a.BytesSent() == 0 {
-		t.Fatal("BytesSent = 0")
-	}
-	if b.MessagesSent() < 2 { // 2 responses
-		t.Fatalf("server MessagesSent = %d, want >= 2", b.MessagesSent())
-	}
+	eventually(t, func() bool { return a.MessagesSent() >= 3 && a.BytesSent() > 0 }, func() string { // hello + 2 requests
+		return fmt.Sprintf("MessagesSent = %d, BytesSent = %d, want >= 3 and > 0", a.MessagesSent(), a.BytesSent())
+	})
+	eventually(t, func() bool { return b.MessagesSent() >= 2 }, func() string { // 2 responses
+		return fmt.Sprintf("server MessagesSent = %d, want >= 2", b.MessagesSent())
+	})
 }
 
 func TestMuxBothDirectionsShareAConnection(t *testing.T) {
@@ -262,6 +274,34 @@ func TestMuxDeregisterWithInflight(t *testing.T) {
 	}
 }
 
+// TestMuxDeregisterInsideHandlerStillResponds is the member.leave shape:
+// the server deregisters the requesting peer from inside the handler
+// that answers it, over the connection that carries the request. The
+// response must still arrive, and the server must then treat the peer as
+// unknown.
+func TestMuxDeregisterInsideHandlerStillResponds(t *testing.T) {
+	a, b := newMuxPair(t)
+	b.Register("b", func(_ context.Context, from dot.ID, req Request) Response {
+		b.Deregister(from)
+		return Response{Body: []byte("bye")}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := a.Send(ctx, "a", "b", Request{Method: "leave"})
+	if err != nil {
+		t.Fatalf("response lost to the handler's Deregister: %v", err)
+	}
+	if string(resp.Body) != "bye" {
+		t.Fatalf("resp = %q", resp.Body)
+	}
+	if _, ok := b.Peers()["a"]; ok {
+		t.Fatal("server still lists the deregistered peer")
+	}
+	if _, err := b.Send(ctx, "b", "a", Request{Method: "m"}); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("server send to deregistered peer: %v, want ErrUnreachable", err)
+	}
+}
+
 // TestMuxCloseWithInflight shuts the serving transport down with requests
 // in flight; the clients must all unblock with errors.
 func TestMuxCloseWithInflight(t *testing.T) {
@@ -331,9 +371,9 @@ func TestMuxManyGoroutinesOnePeer(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if a.Flushes() == 0 || a.MessagesSent() < uint64(goroutines*perG) {
-		t.Fatalf("counters: msgs=%d flushes=%d", a.MessagesSent(), a.Flushes())
-	}
+	eventually(t, func() bool { return a.Flushes() > 0 && a.MessagesSent() >= uint64(goroutines*perG) }, func() string {
+		return fmt.Sprintf("counters: msgs=%d flushes=%d", a.MessagesSent(), a.Flushes())
+	})
 	if a.Flushes() > a.MessagesSent() {
 		t.Fatalf("more flushes (%d) than frames (%d)", a.Flushes(), a.MessagesSent())
 	}

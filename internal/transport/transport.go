@@ -1,17 +1,16 @@
 // Package transport is the message layer between replica servers and
-// clients. Three interchangeable implementations back the same interface:
+// clients. Two interchangeable implementations back the same interface:
 //
 //   - Memory: an in-process simulated network with seeded latency
 //     distributions, per-byte transfer cost, message drops and partitions.
 //     The latency experiments (C3) run on it so that metadata size has a
 //     controlled, reproducible effect on request latency.
-//   - TCP: the lockstep real-network transport — one framed
-//     request/response exchange at a time per pooled connection. Kept as
-//     the A/B baseline for the saturation experiment (E3).
-//   - Mux: the multiplexed real-network transport — one long-lived
-//     connection per peer pair carrying concurrent in-flight requests,
-//     with coalesced flushes and reconnect backoff. The default for
-//     cmd/dvvstore.
+//   - Mux: the real-network transport — one long-lived TCP connection per
+//     peer pair carrying concurrent in-flight requests, with coalesced
+//     flushes and reconnect backoff. cmd/dvvstore and the benchmark
+//     cluster run on it.
+//
+// Chaos wraps either one with injectable link faults.
 //
 // Requests are (method, body) pairs; bodies are opaque mechanism-encoded
 // payloads produced with internal/codec.
@@ -61,7 +60,7 @@ type Transport interface {
 }
 
 // AddrBook is implemented by transports that address peers by network
-// location (the TCP transport); the membership gossip uses it to teach a
+// location (the Mux); the membership gossip uses it to teach a
 // transport about joining peers and to share the addresses it knows. The
 // in-memory transport has no addresses and does not implement it.
 type AddrBook interface {
@@ -74,12 +73,12 @@ type AddrBook interface {
 }
 
 // Meter is implemented by transports that account their wire traffic.
-// All three implementations (Memory, TCP, Mux) satisfy it; the
-// saturation experiment (E3) sums counters across every transport in a
-// deployment to report per-operation network cost. Counter semantics:
-// each transport counts the frames *it* puts on the wire (requests it
+// Memory and Mux satisfy it (Chaos passes it through); the anti-entropy
+// experiment (E5) and the benchmark sum counters across every transport
+// in a deployment to report network cost. Counter semantics: each
+// transport counts the frames *it* puts on the wire (requests it
 // originates plus, for the mux, responses it writes), so cluster-wide
-// sums are comparable across implementations.
+// sums count every frame once.
 type Meter interface {
 	// BytesSent returns cumulative framed payload bytes sent.
 	BytesSent() uint64

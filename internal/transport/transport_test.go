@@ -195,23 +195,21 @@ func TestMemoryConcurrentSends(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP transport.
+// TCP wire: a dial-only client against a listening server, the shape
+// dvvstore's get/put/stats commands use. (The TestMux* pairs both listen.)
 // ---------------------------------------------------------------------------
 
-func newTCPPair(t *testing.T) (*TCP, *TCP) {
+// newTCPPair starts a listening server "b" and a dial-only client "a"
+// that knows only b's address.
+func newTCPPair(t *testing.T) (a, b *Mux) {
 	t.Helper()
-	a := NewTCP("a", map[dot.ID]string{"a": "127.0.0.1:0"})
-	if err := a.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	b := NewTCP("b", map[dot.ID]string{"b": "127.0.0.1:0"})
+	b = NewMux("b", map[dot.ID]string{"b": "127.0.0.1:0"})
 	if err := b.Listen(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	a.SetAddr("b", b.Addr())
-	b.SetAddr("a", a.Addr())
+	a = NewMux("a", map[dot.ID]string{"b": b.Addr()})
+	t.Cleanup(func() { a.Close() })
 	return a, b
 }
 
@@ -225,9 +223,12 @@ func TestTCPSendReceive(t *testing.T) {
 	if string(resp.Body) != "tcp-get:key:a" {
 		t.Fatalf("resp = %q", resp.Body)
 	}
-	// Second request reuses the pooled connection.
+	// Second request reuses the connection.
 	if _, err := a.Send(context.Background(), "a", "b", Request{Method: "get", Body: []byte("k2")}); err != nil {
 		t.Fatal(err)
+	}
+	if r := a.Reconnects(); r != 0 {
+		t.Fatalf("Reconnects = %d, want 0", r)
 	}
 }
 
@@ -320,28 +321,26 @@ func TestMemoryDeregister(t *testing.T) {
 }
 
 func TestTCPDeregisterAndPeers(t *testing.T) {
-	srv := NewTCP("srv", map[dot.ID]string{"srv": "127.0.0.1:0"})
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.Register("srv", func(ctx context.Context, from dot.ID, req Request) Response {
+	cli, srv := newTCPPair(t)
+	srv.Register("b", func(ctx context.Context, from dot.ID, req Request) Response {
 		return Response{Body: []byte("pong")}
 	})
-
-	cli := NewTCP("cli", map[dot.ID]string{"cli": ""})
-	defer cli.Close()
-	cli.SetAddr("srv", srv.Addr())
-	if got := cli.Peers()["srv"]; got != srv.Addr() {
-		t.Fatalf("Peers()[srv] = %q, want %q", got, srv.Addr())
+	if got := srv.Peers()["b"]; got != srv.Addr() {
+		t.Fatalf("server Peers()[b] = %q, want its own address %q", got, srv.Addr())
+	}
+	if got := cli.Peers()["b"]; got != srv.Addr() {
+		t.Fatalf("Peers()[b] = %q, want %q", got, srv.Addr())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := cli.Send(ctx, "cli", "srv", Request{Method: "ping"}); err != nil {
+	if _, err := cli.Send(ctx, "a", "b", Request{Method: "ping"}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	cli.Deregister("srv")
-	if _, err := cli.Send(ctx, "cli", "srv", Request{Method: "ping"}); !errors.Is(err, ErrUnreachable) {
+	cli.Deregister("b")
+	if _, ok := cli.Peers()["b"]; ok {
+		t.Fatal("Peers() still lists a deregistered peer")
+	}
+	if _, err := cli.Send(ctx, "a", "b", Request{Method: "ping"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("send after deregister: err = %v, want ErrUnreachable", err)
 	}
 }
