@@ -102,22 +102,51 @@ func BenchmarkKernelPut(b *testing.B) {
 	}
 }
 
+// syncSides builds two replica states of one key with k siblings each and
+// pasts w entries wide. s1 holds k concurrent writes coordinated by s0; s2
+// shares s1's newer half and holds writes coordinated by s1 from a client
+// that read s1's older half, so a Sync collapses duplicates and drops
+// dominated versions, as replicas that mostly agree do.
+func syncSides(k, w int) (s1, s2 []dvv.Clock) {
+	servers := make([]dvv.ID, w)
+	var base []dvv.Clock
+	for i := range servers {
+		servers[i] = dvv.ID(fmt.Sprintf("s%d", i))
+		_, base = dvv.Put(base, dvv.Context(base), servers[i])
+	}
+	s1 = base
+	for i := 0; i < k; i++ {
+		_, s1 = dvv.Put(s1, dvv.Context(base), servers[0])
+	}
+	sorted := dvv.Sync(s1, nil)
+	older, newer := sorted[:k/2], sorted[k/2:]
+	s2 = dvv.Sync(nil, newer)
+	for i := 0; i < k/2; i++ {
+		_, s2 = dvv.Put(s2, dvv.Context(older), servers[1])
+	}
+	return s1, s2
+}
+
+// BenchmarkKernelSync sweeps k siblings per side × vector width w; the
+// converged arm merges two equal states, a replica that is up to date.
 func BenchmarkKernelSync(b *testing.B) {
-	for _, siblings := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("siblings-%d", siblings), func(b *testing.B) {
-			var s1 []dvv.Clock
-			_, s1 = dvv.Put(s1, dvv.NewContext(), "A")
-			base := dvv.Context(s1)
-			for i := 1; i < siblings; i++ {
-				_, s1 = dvv.Put(s1, base, dvv.ID(fmt.Sprintf("S%d", i%3)))
-			}
-			s2 := dvv.Sync(s1, nil)
+	bench := func(name string, s1, s2 []dvv.Clock) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				sinkInt = len(dvv.Sync(s1, s2))
 			}
 		})
+	}
+	for _, k := range []int{1, 4, 16, 32} {
+		for _, w := range []int{3, 16, 64} {
+			s1, s2 := syncSides(k, w)
+			bench(fmt.Sprintf("siblings-%d/width-%d", k, w), s1, s2)
+		}
+	}
+	for _, k := range []int{1, 4, 16, 32} {
+		s1, _ := syncSides(k, 3)
+		bench(fmt.Sprintf("converged/siblings-%d/width-3", k), s1, dvv.Sync(s1, nil))
 	}
 }
 

@@ -81,13 +81,14 @@ func (dvvMech) Put(s State, c Context, value []byte, w WriteInfo) (State, error)
 	if err != nil {
 		return nil, err
 	}
-	clocks := make([]dvv.Clock, len(st))
-	for i, v := range st {
-		clocks[i] = v.Clock
+	// dvv.Update, with MaxDot taken over the state in place of a copy of
+	// its clocks.
+	var n uint64
+	for _, v := range st {
+		n = max(n, v.Clock.MaxCounter(w.Server))
 	}
-	nc := dvv.Update(clocks, ctx, w.Server)
 	out := make(DVVState, 0, len(st)+1)
-	out = append(out, DVVVersion{Value: value, Clock: nc})
+	out = append(out, DVVVersion{Value: value, Clock: dvv.New(dot.New(w.Server, n+1), ctx.Clone())})
 	for _, v := range st {
 		if !ctx.ContainsDot(v.Clock.D) {
 			out = append(out, v)
@@ -96,32 +97,14 @@ func (dvvMech) Put(s State, c Context, value []byte, w WriteInfo) (State, error)
 	return out, nil
 }
 
+// Sync is dvv.SyncFunc over the versions themselves, so each value travels
+// with its clock: the result is in dot order and exactly sized, and a dot
+// held by both sides keeps the first copy's value (a's, when a has it).
 func (dvvMech) Sync(a, b State) State {
-	sa := mustState[DVVState]("dvv", a)
-	sb := mustState[DVVState]("dvv", b)
-	// Merge via the clock kernel, then reattach values by dot (dots are
-	// globally unique, so the value for a surviving dot is on whichever
-	// side carried it). Dots are comparable and key the map directly.
-	ca := make([]dvv.Clock, len(sa))
-	byDot := make(map[dot.Dot][]byte, len(sa)+len(sb))
-	for i, v := range sa {
-		ca[i] = v.Clock
-		byDot[v.Clock.D] = v.Value
-	}
-	cb := make([]dvv.Clock, len(sb))
-	for i, v := range sb {
-		cb[i] = v.Clock
-		if _, ok := byDot[v.Clock.D]; !ok {
-			byDot[v.Clock.D] = v.Value
-		}
-	}
-	merged := dvv.Sync(ca, cb)
-	out := make(DVVState, len(merged))
-	for i, c := range merged {
-		out[i] = DVVVersion{Value: byDot[c.D], Clock: c}
-	}
-	return out
+	return dvv.SyncFunc(mustState[DVVState]("dvv", a), mustState[DVVState]("dvv", b), versionClock)
 }
+
+func versionClock(v *DVVVersion) *dvv.Clock { return &v.Clock }
 
 func (dvvMech) EncodeState(w *codec.Writer, s State) {
 	st := mustState[DVVState]("dvv", s)

@@ -23,7 +23,7 @@ package dvv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/causal"
 	"repro/internal/dot"
@@ -140,12 +140,17 @@ func (c Clock) String() string {
 func MaxDot(s []Clock, id dot.ID) uint64 {
 	var m uint64
 	for _, c := range s {
-		if c.D.Node == id && c.D.Counter > m {
-			m = c.D.Counter
-		}
-		if n := c.V.Get(id); n > m {
-			m = n
-		}
+		m = max(m, c.MaxCounter(id))
+	}
+	return m
+}
+
+// MaxCounter returns the highest counter of node id that c names, in its
+// dot or its past (0 if none).
+func (c Clock) MaxCounter(id dot.ID) uint64 {
+	m := c.V.Get(id)
+	if c.D.Node == id {
+		m = max(m, c.D.Counter)
 	}
 	return m
 }
@@ -200,50 +205,190 @@ func Put(s []Clock, ctx vv.VV, r dot.ID) (Clock, []Clock) {
 	return nc, out
 }
 
-// Sync merges the sibling sets of two replicas: every version dominated by
-// a version on the other side is discarded, duplicates (same dot) keep one
+// Sync merges the sibling sets of two replicas: every version whose dot lies
+// in another version's past is discarded, duplicates (same dot) keep one
 // copy, and survivors are returned sorted by dot for determinism. Sync is
 // commutative, associative and idempotent (a join-semilattice on sets of
 // versions), which is what makes anti-entropy safe to run in any order.
+// It is SyncFunc over bare clocks; see there for the algorithm and its cost.
 func Sync(s1, s2 []Clock) []Clock {
-	// Dots are globally unique, so two copies of the same dot are the same
-	// version; joining their pasts is a no-op on honest traces and keeps
-	// Sync commutative even on adversarial input.
-	merged := make(map[dot.Dot]Clock, len(s1)+len(s2))
-	add := func(c Clock) {
-		if e, ok := merged[c.D]; ok {
-			merged[c.D] = Clock{D: c.D, V: vv.Join(e.V, c.V)}
-			return
+	return SyncFunc(s1, s2, func(c *Clock) *Clock { return c })
+}
+
+// SyncFunc is Sync over any sibling type that carries a Clock, so a
+// mechanism's values travel with their clocks; clock returns a pointer to an
+// element's clock. Neither input is modified and neither needs to be sorted.
+// The result is a fresh, exact-size slice (cap == len) in dot order. Its
+// elements are copies of input elements: of the copies of one dot the first
+// wins (the first in a, else the first in b), with its past replaced by the
+// join of every copy's past when those differ. Dots are globally unique, so
+// on honest traces all copies of a dot are equal and nothing is joined.
+//
+// The merge is linear after one sort:
+//
+//  1. gather a and b into one scratch slice and sort it by dot, copies of
+//     one dot in input order;
+//  2. collapse each run of equal dots into its first copy;
+//  3. compute J, the per-node max over every past, remembering which version
+//     set each entry;
+//  4. a version whose dot lies above J[node] is in no past and survives
+//     without a scan. One at or below J[node] is dominated by the version
+//     that set J[node] — unless that is the version itself, a past covering
+//     its own dot, which honest traces never produce; only then are the
+//     other pasts scanned, which keeps the pairwise rule exact on any input;
+//  5. copy the survivors into the result.
+//
+// With k = len(a)+len(b) versions of vector width w this is
+// O(k·log k + k·w) time. The scratch and J live on the stack up to
+// syncScratchInline versions and syncJoinInline nodes, so the result is the
+// only allocation; beyond either size a spill costs one more (J grows again
+// only when the pasts name different nodes), and on malformed input each
+// joined past costs two.
+func SyncFunc[S ~[]E, E any](a, b S, clock func(*E) *Clock) S {
+	var inline [syncScratchInline]syncEntry
+	es := inline[:0]
+	if n := len(a) + len(b); n > len(inline) {
+		es = make([]syncEntry, 0, n)
+	}
+	for i := range a {
+		es = append(es, syncEntry{c: clock(&a[i]), src: i})
+	}
+	for i := range b {
+		es = append(es, syncEntry{c: clock(&b[i]), src: len(a) + i})
+	}
+	es = mergeEntries(es)
+	out := make(S, len(es))
+	for i, e := range es {
+		if e.src < len(a) {
+			out[i] = a[e.src]
+		} else {
+			out[i] = b[e.src-len(a)]
 		}
-		merged[c.D] = c
+		*clock(&out[i]) = *e.c
 	}
-	for _, c := range s1 {
-		add(c)
-	}
-	for _, c := range s2 {
-		add(c)
-	}
-	out := make([]Clock, 0, len(merged))
-	for _, c := range merged {
-		dominated := false
-		for _, o := range merged {
-			if c.D != o.D && c.Before(o) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, c)
-		}
-	}
-	SortClocks(out)
 	return out
+}
+
+// syncEntry is one version in SyncFunc's scratch: its clock — the input's
+// own, or a joined copy when duplicate copies' pasts differ — and the index
+// into a++b of the element it came from, or -1 once it is dominated.
+type syncEntry struct {
+	c   *Clock
+	src int
+}
+
+// syncScratchInline and syncJoinInline size SyncFunc's stack scratch: 64
+// versions covers both sides of a key with 32 siblings each, and 8 nodes a
+// replica set with room for membership change.
+const (
+	syncScratchInline = 64
+	syncJoinInline    = 8
+)
+
+// joinEntry is one node of J: the highest counter any past holds for id,
+// and the scratch index of the first version whose past holds it.
+type joinEntry struct {
+	id dot.ID
+	n  uint64
+	at int
+}
+
+// mergeEntries sorts es by dot, collapses duplicate dots and drops every
+// version whose dot lies in another version's past, reusing es's storage.
+// It returns the survivors in dot order.
+func mergeEntries(es []syncEntry) []syncEntry {
+	// Ties on the dot fall back to input order, which makes this a stable
+	// sort; pdqsort, unlike the stable sort, also undoes the newest-first
+	// order Put leaves in one pass.
+	slices.SortFunc(es, func(x, y syncEntry) int {
+		if c := x.c.D.Compare(y.c.D); c != 0 {
+			return c
+		}
+		return x.src - y.src
+	})
+	w := 0
+	for _, e := range es {
+		if w > 0 && es[w-1].c.D == e.c.D {
+			if prev := es[w-1].c; !prev.V.Equal(e.c.V) {
+				es[w-1].c = &Clock{D: prev.D, V: vv.Join(prev.V, e.c.V)}
+			}
+			continue
+		}
+		es[w] = e
+		w++
+	}
+	es = es[:w]
+
+	// J is at least as wide as the widest past, and honest pasts name the
+	// same replicas, so a spill sized to that rarely grows again.
+	var inline [syncJoinInline]joinEntry
+	j := inline[:0]
+	widest := 0
+	for _, e := range es {
+		widest = max(widest, len(e.c.V))
+	}
+	if widest > len(inline) {
+		j = make([]joinEntry, 0, widest)
+	}
+	for p := range es {
+		k := 0
+		for _, e := range es[p].c.V {
+			// Honest pasts name the same nodes: J's next entry is usually e's.
+			if k == len(j) || j[k].id != e.ID {
+				for k < len(j) && j[k].id < e.ID {
+					k++
+				}
+				if k == len(j) || j[k].id != e.ID {
+					j = slices.Insert(j, k, joinEntry{id: e.ID, n: e.N, at: p})
+					k++
+					continue
+				}
+			}
+			if e.N > j[k].n {
+				j[k].n, j[k].at = e.N, p
+			}
+			k++
+		}
+	}
+
+	// es is sorted by node, so one forward walk over J finds each dot's entry.
+	k := 0
+	for p := range es {
+		d := es[p].c.D
+		for k < len(j) && j[k].id < d.Node {
+			k++
+		}
+		if d.Counter == 0 || k == len(j) || j[k].id != d.Node || d.Counter > j[k].n {
+			continue
+		}
+		if j[k].at != p || inOtherPast(es, p) {
+			es[p].src = -1
+		}
+	}
+	out := es[:0]
+	for _, e := range es {
+		if e.src >= 0 {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// inOtherPast reports whether es[p]'s dot lies in the past of any other
+// version in es.
+func inOtherPast(es []syncEntry, p int) bool {
+	for q := range es {
+		if q != p && es[q].c.V.ContainsDot(es[p].c.D) {
+			return true
+		}
+	}
+	return false
 }
 
 // SortClocks orders clocks deterministically by dot (node id, then
 // counter). This is a display/encoding order, not a causal order.
 func SortClocks(s []Clock) {
-	sort.Slice(s, func(i, j int) bool { return s[i].D.Compare(s[j].D) < 0 })
+	slices.SortFunc(s, func(x, y Clock) int { return x.D.Compare(y.D) })
 }
 
 // Size returns the abstract metadata size of the clock: number of vector
