@@ -39,8 +39,10 @@ type Config struct {
 	// N/R/W as in node.Config; defaults 3/2/2 clamped to Nodes.
 	N, R, W int
 
-	// Transport carries all traffic. If nil, an in-memory transport with
-	// no latency is created.
+	// Transport carries all traffic. If nil, the cluster creates (and
+	// Close closes) a transport.Loopback: one mux per node on 127.0.0.1,
+	// with no injected faults or latency. Wrap one in transport.Chaos to
+	// inject them.
 	Transport transport.Transport
 
 	ReadRepair          bool
@@ -186,7 +188,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	ownsT := false
 	if cfg.Transport == nil {
-		cfg.Transport = transport.NewMemory(transport.MemoryConfig{Seed: cfg.Seed})
+		cfg.Transport = transport.NewLoopback()
 		ownsT = true
 	}
 	r := ring.New(0)

@@ -175,12 +175,10 @@ func TestMetadataAccountingHelpers(t *testing.T) {
 }
 
 func TestClusterWithLatencyTransport(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{
-		Latency: transport.FixedLatency{Base: 200 * time.Microsecond, PerByte: 10 * time.Nanosecond},
-		Seed:    7,
-	})
-	defer mem.Close()
-	c := newCluster(t, Config{Mech: core.NewDVV(), Nodes: 3, Transport: mem, Seed: 7})
+	chaos := transport.NewChaos(transport.NewLoopback(), 7)
+	t.Cleanup(func() { chaos.Close() })
+	chaos.SetDefault(transport.LinkFaults{Delay: 200 * time.Microsecond, PerByte: 10 * time.Nanosecond})
+	c := newCluster(t, Config{Mech: core.NewDVV(), Nodes: 3, Transport: chaos, Seed: 7})
 	cl := c.NewClient("", RouteCoordinator)
 	ctx := context.Background()
 	start := time.Now()
@@ -190,7 +188,7 @@ func TestClusterWithLatencyTransport(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 400*time.Microsecond {
 		t.Fatalf("latency model not applied: %v", elapsed)
 	}
-	if mem.BytesSent() == 0 {
+	if chaos.BytesSent() == 0 {
 		t.Fatal("no bytes accounted")
 	}
 }

@@ -73,7 +73,8 @@ func TestEjectorPickPrefersHealthy(t *testing.T) {
 // healthy owner — so all puts succeed and the ejector records the
 // failure.
 func TestClientEjectsUnreachableCoordinator(t *testing.T) {
-	chaos := transport.NewChaos(transport.NewMemory(transport.MemoryConfig{Seed: 3}), 3)
+	chaos := transport.NewChaos(transport.NewLoopback(), 3)
+	t.Cleanup(func() { chaos.Close() })
 	c, err := New(Config{
 		Mech: core.NewDVV(), Nodes: 3, N: 3, R: 1, W: 1,
 		Transport:      chaos,

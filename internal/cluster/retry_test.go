@@ -49,7 +49,8 @@ func TestRetryBudgetUnlimited(t *testing.T) {
 // member is unreachable, and asserts the budget holds retries to ~10% of
 // issued requests instead of ClientRetries x issued.
 func TestClientRetriesBounded(t *testing.T) {
-	chaos := transport.NewChaos(transport.NewMemory(transport.MemoryConfig{Seed: 1}), 1)
+	chaos := transport.NewChaos(transport.NewLoopback(), 1)
+	t.Cleanup(func() { chaos.Close() })
 	c, err := New(Config{
 		Mech: core.NewDVV(), Nodes: 1, N: 1, R: 1, W: 1,
 		Transport:     chaos,
@@ -91,7 +92,8 @@ func TestClientRetriesBounded(t *testing.T) {
 // errors. Deterministic: the chaos RNG is seeded and the client issues
 // sequentially.
 func TestClientRetryRecovers(t *testing.T) {
-	chaos := transport.NewChaos(transport.NewMemory(transport.MemoryConfig{Seed: 2}), 2)
+	chaos := transport.NewChaos(transport.NewLoopback(), 2)
+	t.Cleanup(func() { chaos.Close() })
 	c, err := New(Config{
 		Mech: core.NewDVV(), Nodes: 1, N: 1, R: 1, W: 1,
 		Transport:     chaos,

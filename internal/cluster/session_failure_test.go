@@ -39,8 +39,8 @@ func prefNodes(t *testing.T, c *Cluster, key string, n int) []*node.Node {
 // peer. The same read without a floor happily returns the stale view —
 // the contrast that shows the guarantee comes from the session, not luck.
 func TestReadYourWritesAcrossCoordinatorFailover(t *testing.T) {
-	chaos := transport.NewChaos(transport.NewMemory(transport.MemoryConfig{Seed: 21}), 21)
-	defer chaos.Close()
+	chaos := transport.NewChaos(transport.NewLoopback(), 21)
+	t.Cleanup(func() { chaos.Close() })
 	c := newCluster(t, Config{
 		Mech: core.NewDVV(), Nodes: 3, N: 3, R: 2, W: 2,
 		Transport: chaos, Seed: 21, Timeout: 2 * time.Second,
@@ -95,8 +95,8 @@ func TestReadYourWritesAcrossCoordinatorFailover(t *testing.T) {
 // answering stale; after healing, the same read succeeds by re-reading
 // the caught-up peers.
 func TestMonotonicReadsThroughHealedPartition(t *testing.T) {
-	chaos := transport.NewChaos(transport.NewMemory(transport.MemoryConfig{Seed: 22}), 22)
-	defer chaos.Close()
+	chaos := transport.NewChaos(transport.NewLoopback(), 22)
+	t.Cleanup(func() { chaos.Close() })
 	c := newCluster(t, Config{
 		Mech: core.NewDVVSet(), Nodes: 3, N: 3, R: 2, W: 2,
 		Transport: chaos, ReadRepair: true, Seed: 22, Timeout: 2 * time.Second,

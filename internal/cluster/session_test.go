@@ -63,11 +63,11 @@ func TestPartitionedWritersConvergeAfterHeal(t *testing.T) {
 	// Two clients write the same key on opposite sides of a partition
 	// (W=1 so both succeed); after healing and read repair both sides see
 	// both siblings, and a merge write converges.
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 13})
-	defer mem.Close()
+	chaos := transport.NewChaos(transport.NewLoopback(), 13)
+	t.Cleanup(func() { chaos.Close() })
 	c := newCluster(t, Config{
 		Mech: core.NewDVV(), Nodes: 2, N: 2, R: 1, W: 1,
-		Transport: mem, ReadRepair: true, Seed: 13,
+		Transport: chaos, ReadRepair: true, Seed: 13,
 	})
 	ctx := context.Background()
 	a := c.NewClient("side-a", RouteCoordinator)
@@ -93,7 +93,7 @@ func TestPartitionedWritersConvergeAfterHeal(t *testing.T) {
 	}
 	// Partition the two nodes; each side takes one write (W=1 keeps the
 	// writes local to each side).
-	mem.Partition("n00", "n01")
+	chaos.Partition("n00", "n01")
 	if err := a.Put(ctx, key, []byte("left")); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPartitionedWritersConvergeAfterHeal(t *testing.T) {
 		core.WriteInfo{Server: other.ID(), Client: "side-b"}); err != nil {
 		t.Fatal(err)
 	}
-	mem.HealAll()
+	chaos.HealAll()
 	// Anti-entropy style reconciliation via a read-repairing get.
 	deadline := time.Now().Add(2 * time.Second)
 	for {

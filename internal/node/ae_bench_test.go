@@ -22,21 +22,20 @@ import (
 
 type benchPair struct {
 	a, b *Node
-	mem  *transport.Memory
 	gen  int
 }
 
 func newBenchPair(b *testing.B, keys int) *benchPair {
 	b.Helper()
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 1})
-	b.Cleanup(func() { mem.Close() })
+	lb := transport.NewLoopback()
+	b.Cleanup(func() { lb.Close() })
 	r := ring.New(16)
 	ids := []dot.ID{"ba", "bb"}
 	nodes := make([]*Node, len(ids))
 	for i, id := range ids {
 		r.Add(id)
 		nd, err := New(Config{
-			ID: id, Mech: core.NewDVV(), Transport: mem, Ring: r,
+			ID: id, Mech: core.NewDVV(), Transport: lb, Ring: r,
 			N: 2, R: 1, W: 1, Timeout: time.Minute, Seed: int64(i),
 		})
 		if err != nil {
@@ -45,7 +44,7 @@ func newBenchPair(b *testing.B, keys int) *benchPair {
 		b.Cleanup(func() { nd.Close() })
 		nodes[i] = nd
 	}
-	p := &benchPair{a: nodes[0], b: nodes[1], mem: mem}
+	p := &benchPair{a: nodes[0], b: nodes[1]}
 	m := p.a.cfg.Mech
 	for i := 0; i < keys; i++ {
 		key := benchKey(i)

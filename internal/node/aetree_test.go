@@ -86,9 +86,8 @@ func TestAETreeRejectsGarbage(t *testing.T) {
 // still reach convergence, and ChaosStats proves the faults actually
 // fired.
 func TestChaosTreeAntiEntropyConverges(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 7})
-	t.Cleanup(func() { mem.Close() })
-	ch := transport.NewChaos(mem, 7)
+	ch := transport.NewChaos(transport.NewLoopback(), 7)
+	t.Cleanup(func() { ch.Close() })
 	ch.SetDefault(transport.LinkFaults{DropRate: 0.15, Reorder: 2 * time.Millisecond})
 	nodes, _, _ := clusterOnTransport(t, ch, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
@@ -146,9 +145,9 @@ func TestChaosTreeAntiEntropyConverges(t *testing.T) {
 // surface (root compare included) is served from resident state even
 // when nearly every value is cold.
 func TestTieredTreeIdleTickZeroSegmentIO(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 3})
-	t.Cleanup(func() { mem.Close() })
-	nodes, _, _ := clusterOnTransport(t, mem, 2, func(c *Config) {
+	lb := transport.NewLoopback()
+	t.Cleanup(func() { lb.Close() })
+	nodes, _, _ := clusterOnTransport(t, lb, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 		c.DataDir = t.TempDir()
 		c.Engine = storage.EngineTiered

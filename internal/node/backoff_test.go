@@ -33,12 +33,12 @@ func injectHint(t *testing.T, n *Node, peer dot.ID, key, value string) {
 // the outage results in only a handful of actual attempts — and the
 // backlog still drains promptly after heal.
 func TestHintRedeliveryBackoffUnderPartition(t *testing.T) {
-	nodes, mem, _ := testCluster(t, 2, func(c *Config) {
+	nodes, chaos, _ := testCluster(t, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 		c.HintedHandoff = true
 	})
 	n1, n2 := nodes[0], nodes[1]
-	mem.Partition(n1.ID(), n2.ID())
+	chaos.Partition(n1.ID(), n2.ID())
 	injectHint(t, n1, n2.ID(), "k", "v1")
 
 	const rounds = 50
@@ -63,7 +63,7 @@ func TestHintRedeliveryBackoffUnderPartition(t *testing.T) {
 
 	// Heal: the backlog must drain despite the accrued streak — the
 	// suppression window is capped, and WaitHintsDrained outwaits it.
-	mem.HealAll()
+	chaos.HealAll()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := n1.WaitHintsDrained(ctx); err != nil {

@@ -19,12 +19,10 @@ import (
 // key. Network latency keeps the first frame in flight long enough for
 // the rest of the burst to queue behind it.
 func TestReplBatchCoalesces(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{
-		Seed:    1,
-		Latency: transport.FixedLatency{Base: 5 * time.Millisecond},
-	})
-	t.Cleanup(func() { mem.Close() })
-	nodes, _, _ := clusterOnTransport(t, mem, 2, func(c *Config) {
+	chaos := transport.NewChaos(transport.NewLoopback(), 1)
+	t.Cleanup(func() { chaos.Close() })
+	chaos.SetDefault(transport.LinkFaults{Delay: 5 * time.Millisecond})
+	nodes, _, _ := clusterOnTransport(t, chaos, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 2
 	})
 	a, b := nodes[0], nodes[1]
@@ -147,9 +145,9 @@ func (f *failingTransport) Send(ctx context.Context, from, to dot.ID, req transp
 // returning on the first one — and crucially the *pull* side of the
 // exchange must still have reconciled what it could.
 func TestAntiEntropyContinuesPastFailedRepair(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 1})
-	t.Cleanup(func() { mem.Close() })
-	ft := &failingTransport{Transport: mem, fail: testNodeID(1)}
+	lb := transport.NewLoopback()
+	t.Cleanup(func() { lb.Close() })
+	ft := &failingTransport{Transport: lb, fail: testNodeID(1)}
 	nodes, _, _ := clusterOnTransport(t, ft, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 	})

@@ -20,7 +20,7 @@ import (
 // leak: suspicion entries were only pruned on the Suspected read path, so
 // a peer that departed while suspected stayed in the map forever.
 func TestSuspicionClearedOnLeave(t *testing.T) {
-	nodes, mem, r := testCluster(t, 3, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 3, func(c *Config) {
 		c.W = 1
 		c.SuspicionWindow = time.Hour // never expires within the test
 	})
@@ -33,7 +33,7 @@ func TestSuspicionClearedOnLeave(t *testing.T) {
 			break
 		}
 	}
-	mem.Partition(co.ID(), peer.ID())
+	chaos.Partition(co.ID(), peer.ID())
 	if _, err := co.CoordinatePut(context.Background(), key, []byte("v"), "c1", WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSuspicionClearedOnLeave(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	mem.HealAll()
+	chaos.HealAll()
 
 	// The suspected peer leaves; the member.leave announcement must clear
 	// the suspicion entry without anyone calling Suspected.
@@ -105,7 +105,7 @@ func TestRejoinClearsSuspicion(t *testing.T) {
 // counted instead of stacking goroutines — the regression test for the
 // unbounded repairAsync fan-out.
 func TestRepairFanOutBounded(t *testing.T) {
-	nodes, mem, _ := testCluster(t, 2, func(c *Config) {
+	nodes, chaos, _ := testCluster(t, 2, func(c *Config) {
 		c.R, c.W = 1, 1
 		c.ReadRepair = true
 		c.RepairConcurrency = 1
@@ -120,7 +120,7 @@ func TestRepairFanOutBounded(t *testing.T) {
 	st, _ := a.store.Snapshot("bounded-key")
 
 	// Park the only worker: its replPut to the cut peer eats the timeout.
-	mem.Partition(a.ID(), b.ID())
+	chaos.Partition(a.ID(), b.ID())
 	a.repairAsync("bounded-key", st, []dot.ID{b.ID()})
 
 	// Give the worker a moment to occupy the slot, then flood: all but
@@ -133,21 +133,21 @@ func TestRepairFanOutBounded(t *testing.T) {
 	if after := a.Stats().RepairsDropped; after-before < 9 {
 		t.Fatalf("expected ≥9 of 10 repairs dropped with the slot busy, drops went %d -> %d", before, after)
 	}
-	mem.HealAll()
+	chaos.HealAll()
 }
 
 // TestNodeRestartRecoversDurableState: a node with a DataDir is closed and
 // recreated with the same id and directory; its store must come back with
 // the pre-restart state and keep minting fresh dots.
 func TestNodeRestartRecoversDurableState(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 1})
-	defer mem.Close()
+	lb := transport.NewLoopback()
+	t.Cleanup(func() { lb.Close() })
 	r := ring.New(16)
 	r.Add("n00")
 	dir := filepath.Join(t.TempDir(), "n00")
 	mk := func() *Node {
 		nd, err := New(Config{
-			ID: "n00", Mech: core.NewDVV(), Transport: mem, Ring: r,
+			ID: "n00", Mech: core.NewDVV(), Transport: lb, Ring: r,
 			N: 1, R: 1, W: 1, Timeout: time.Second,
 			DataDir: dir, Fsync: true,
 		})
@@ -168,7 +168,7 @@ func TestNodeRestartRecoversDurableState(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mem.Deregister("n00")
+	lb.Deregister("n00")
 
 	n2 := mk()
 	defer n2.Close()
@@ -193,13 +193,13 @@ func TestNodeRestartRecoversDurableState(t *testing.T) {
 // TestReplPutAckImpliesDurable: a replica whose WAL has crashed must fail
 // repl.put RPCs rather than ack states it cannot persist.
 func TestReplPutAckImpliesDurable(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 1})
-	defer mem.Close()
+	lb := transport.NewLoopback()
+	t.Cleanup(func() { lb.Close() })
 	r := ring.New(16)
 	r.Add("a")
 	dir := filepath.Join(t.TempDir(), "a")
 	nd, err := New(Config{
-		ID: "a", Mech: core.NewDVV(), Transport: mem, Ring: r,
+		ID: "a", Mech: core.NewDVV(), Transport: lb, Ring: r,
 		N: 1, R: 1, W: 1, Timeout: time.Second,
 		DataDir: dir, Fsync: true,
 	})
@@ -236,12 +236,12 @@ func TestReplPutAckImpliesDurable(t *testing.T) {
 // TestConcurrentDurablePuts exercises the WAL group-commit path through
 // the node put pipeline under the race detector.
 func TestConcurrentDurablePuts(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 1})
-	defer mem.Close()
+	lb := transport.NewLoopback()
+	t.Cleanup(func() { lb.Close() })
 	r := ring.New(16)
 	r.Add("solo")
 	nd, err := New(Config{
-		ID: "solo", Mech: core.NewDVV(), Transport: mem, Ring: r,
+		ID: "solo", Mech: core.NewDVV(), Transport: lb, Ring: r,
 		N: 1, R: 1, W: 1, Timeout: 5 * time.Second,
 		DataDir: filepath.Join(t.TempDir(), "solo"), Fsync: true,
 	})

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHintedHandoffStoresAndDelivers(t *testing.T) {
-	nodes, mem, r := testCluster(t, 3, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 3, func(c *Config) {
 		c.W = 1 // the put succeeds locally even with peers cut off
 		c.HintedHandoff = true
 	})
@@ -18,7 +18,7 @@ func TestHintedHandoffStoresAndDelivers(t *testing.T) {
 	var peers []*Node
 	for _, n := range nodes {
 		if n.ID() != co.ID() {
-			mem.Partition(co.ID(), n.ID())
+			chaos.Partition(co.ID(), n.ID())
 			peers = append(peers, n)
 		}
 	}
@@ -43,7 +43,7 @@ func TestHintedHandoffStoresAndDelivers(t *testing.T) {
 		}
 	}
 	// Heal and redeliver.
-	mem.HealAll()
+	chaos.HealAll()
 	co.DeliverHints(context.Background())
 	if got := co.PendingHints(); got != 0 {
 		t.Fatalf("PendingHints = %d after delivery", got)
@@ -60,7 +60,7 @@ func TestHintedHandoffStoresAndDelivers(t *testing.T) {
 }
 
 func TestHintsMergeForSameKey(t *testing.T) {
-	nodes, mem, r := testCluster(t, 2, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 		c.HintedHandoff = true
 	})
@@ -72,7 +72,7 @@ func TestHintsMergeForSameKey(t *testing.T) {
 			peer = n
 		}
 	}
-	mem.Partition(co.ID(), peer.ID())
+	chaos.Partition(co.ID(), peer.ID())
 	// Two racing writes while the peer is down: the hints must merge
 	// into one per (peer, key) carrying both siblings.
 	if _, err := co.CoordinatePut(context.Background(), key, []byte("v1"), "c1", WriteOptions{}); err != nil {
@@ -91,7 +91,7 @@ func TestHintsMergeForSameKey(t *testing.T) {
 	if got := co.PendingHints(); got != 1 {
 		t.Fatalf("PendingHints = %d, want 1 merged entry", got)
 	}
-	mem.HealAll()
+	chaos.HealAll()
 	co.DeliverHints(context.Background())
 	rr, ok := peer.Store().Get(key)
 	if !ok || !reflect.DeepEqual(sortedVals(rr), []string{"v1", "v2"}) {
@@ -100,7 +100,7 @@ func TestHintsMergeForSameKey(t *testing.T) {
 }
 
 func TestDeliverHintsKeepsUndeliverable(t *testing.T) {
-	nodes, mem, r := testCluster(t, 2, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 		c.HintedHandoff = true
 	})
@@ -112,7 +112,7 @@ func TestDeliverHintsKeepsUndeliverable(t *testing.T) {
 			peer = n
 		}
 	}
-	mem.Partition(co.ID(), peer.ID())
+	chaos.Partition(co.ID(), peer.ID())
 	if _, err := co.CoordinatePut(context.Background(), key, []byte("v1"), "c1", WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDeliverHintsKeepsUndeliverable(t *testing.T) {
 }
 
 func TestHintDeliveryViaAntiEntropyLoop(t *testing.T) {
-	nodes, mem, r := testCluster(t, 2, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 		c.HintedHandoff = true
 		c.AntiEntropyInterval = 10 * time.Millisecond
@@ -147,7 +147,7 @@ func TestHintDeliveryViaAntiEntropyLoop(t *testing.T) {
 			peer = n
 		}
 	}
-	mem.Partition(co.ID(), peer.ID())
+	chaos.Partition(co.ID(), peer.ID())
 	if _, err := co.CoordinatePut(context.Background(), key, []byte("v1"), "c1", WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestHintDeliveryViaAntiEntropyLoop(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	mem.HealAll()
+	chaos.HealAll()
 	// The background loop must deliver without an explicit call.
 	deadline = time.Now().Add(2 * time.Second)
 	for co.PendingHints() > 0 {

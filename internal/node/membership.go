@@ -135,8 +135,8 @@ func (n *Node) handleHandoff(body []byte) transport.Response {
 // ---------------------------------------------------------------------------
 
 // encodeMembership writes (id, addr) pairs for the current ring members;
-// addresses come from the transport's AddrBook when it has one (TCP),
-// otherwise they are empty (in-memory transports need none).
+// addresses come from the transport's AddrBook when it has one (a Mux),
+// otherwise they are empty (an in-process Loopback assigns them itself).
 func (n *Node) encodeMembership(w *codec.Writer) {
 	members := n.cfg.Ring.Members()
 	addrs := map[dot.ID]string{}
@@ -351,9 +351,11 @@ func (n *Node) handleLeave(body []byte) transport.Response {
 	if hasHints {
 		n.admitBackground(func(ctx context.Context) { n.DeliverHints(ctx) })
 	}
-	// Forget the peer at the transport level too (drops TCP addresses and
-	// pooled connections); the in-memory transport is shared, so only the
-	// leaver deregisters its own handler there.
+	// Forget the peer at the transport level too (drops its address,
+	// dial backoff and requests in flight to it; the connection this
+	// answer rides on stays up). A bare shared Loopback has no AddrBook,
+	// so the cluster deregisters the leaver there; under Chaos over a
+	// shared Loopback this deregisters it for every member at once.
 	if _, ok := n.cfg.Transport.(transport.AddrBook); ok {
 		n.cfg.Transport.Deregister(id)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 func TestSloppyQuorumSurvivesDeadReplica(t *testing.T) {
-	nodes, mem, r := testCluster(t, 5, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 5, func(c *Config) {
 		c.W = 3 // every preference member must ack — or a fallback must
 		c.SloppyQuorum = true
 		c.HintedHandoff = true
@@ -32,7 +32,7 @@ func TestSloppyQuorumSurvivesDeadReplica(t *testing.T) {
 			break
 		}
 	}
-	mem.Partition(co.ID(), dead)
+	chaos.Partition(co.ID(), dead)
 
 	if _, err := co.CoordinatePut(context.Background(), key, []byte("v1"), "c1", WriteOptions{}); err != nil {
 		t.Fatalf("sloppy put failed: %v", err)
@@ -62,7 +62,7 @@ func TestSloppyQuorumSurvivesDeadReplica(t *testing.T) {
 	}
 
 	// Once the home replica is back, hint delivery converges it.
-	mem.HealAll()
+	chaos.HealAll()
 	co.DeliverHints(context.Background())
 	if co.PendingHints() != 0 {
 		t.Fatalf("hints still pending: %d", co.PendingHints())
@@ -79,7 +79,7 @@ func TestSloppyQuorumSurvivesDeadReplica(t *testing.T) {
 }
 
 func TestSuspicionMarksAndClears(t *testing.T) {
-	nodes, mem, r := testCluster(t, 3, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 3, func(c *Config) {
 		c.W = 1
 		c.HintedHandoff = true
 		c.SuspicionWindow = time.Minute
@@ -94,7 +94,7 @@ func TestSuspicionMarksAndClears(t *testing.T) {
 			break
 		}
 	}
-	mem.Partition(co.ID(), peer)
+	chaos.Partition(co.ID(), peer)
 	if _, err := co.CoordinatePut(context.Background(), key, []byte("v1"), "c1", WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSuspicionMarksAndClears(t *testing.T) {
 	// A successful exchange clears the suspicion. DeliverHints may skip
 	// the attempt while the hint's redelivery backoff window is open, so
 	// retry until the delivery actually happens.
-	mem.HealAll()
+	chaos.HealAll()
 	deadline = time.Now().Add(2 * time.Second)
 	for co.Suspected(peer) {
 		if time.Now().After(deadline) {
@@ -157,7 +157,7 @@ func TestHandoffToStreamsSelectedKeys(t *testing.T) {
 }
 
 func TestHintsRerouteToSuccessorAfterLeave(t *testing.T) {
-	nodes, mem, r := testCluster(t, 3, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 3, func(c *Config) {
 		c.W = 1
 		c.HintedHandoff = true
 	})
@@ -168,7 +168,7 @@ func TestHintsRerouteToSuccessorAfterLeave(t *testing.T) {
 	var peers []*Node
 	for _, n := range nodes {
 		if n.ID() != co.ID() {
-			mem.Partition(co.ID(), n.ID())
+			chaos.Partition(co.ID(), n.ID())
 			peers = append(peers, n)
 		}
 	}
@@ -186,8 +186,8 @@ func TestHintsRerouteToSuccessorAfterLeave(t *testing.T) {
 	// One hinted peer departs for good; heal the network to the other.
 	departed := peers[0]
 	r.Remove(departed.ID())
-	mem.HealAll()
-	mem.Partition(co.ID(), departed.ID()) // still gone
+	chaos.HealAll()
+	chaos.Partition(co.ID(), departed.ID()) // still gone
 
 	co.DeliverHints(context.Background())
 	if co.PendingHints() != 0 {
@@ -202,7 +202,7 @@ func TestHintsRerouteToSuccessorAfterLeave(t *testing.T) {
 
 // gossipNode builds a node with a private ring (the TCP-style deployment
 // where each process tracks membership itself).
-func gossipNode(t *testing.T, mem *transport.Memory, id dot.ID, seedMembers []dot.ID) *Node {
+func gossipNode(t *testing.T, chaos *transport.Chaos, id dot.ID, seedMembers []dot.ID) *Node {
 	t.Helper()
 	r := ring.New(16)
 	r.Add(id)
@@ -210,7 +210,7 @@ func gossipNode(t *testing.T, mem *transport.Memory, id dot.ID, seedMembers []do
 		r.Add(m)
 	}
 	nd, err := New(Config{
-		ID: id, Mech: core.NewDVV(), Transport: mem, Ring: r,
+		ID: id, Mech: core.NewDVV(), Transport: chaos, Ring: r,
 		N: 3, R: 1, W: 1, Timeout: time.Second,
 	})
 	if err != nil {
@@ -221,10 +221,10 @@ func gossipNode(t *testing.T, mem *transport.Memory, id dot.ID, seedMembers []do
 }
 
 func TestJoinLeaveGossip(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 9})
-	t.Cleanup(func() { mem.Close() })
-	a := gossipNode(t, mem, "a", []dot.ID{"b"})
-	b := gossipNode(t, mem, "b", []dot.ID{"a"})
+	chaos := transport.NewChaos(transport.NewLoopback(), 9)
+	t.Cleanup(func() { chaos.Close() })
+	a := gossipNode(t, chaos, "a", []dot.ID{"b"})
+	b := gossipNode(t, chaos, "b", []dot.ID{"a"})
 
 	// Seed data on the existing members.
 	m := a.cfg.Mech
@@ -236,7 +236,7 @@ func TestJoinLeaveGossip(t *testing.T) {
 	}
 
 	// A third process joins through a.
-	j := gossipNode(t, mem, "j", nil)
+	j := gossipNode(t, chaos, "j", nil)
 	if err := j.JoinCluster(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
@@ -297,10 +297,10 @@ func TestJoinLeaveGossip(t *testing.T) {
 }
 
 func TestStatsRoundTripNewCounters(t *testing.T) {
-	nodes, mem, _ := testCluster(t, 1, func(c *Config) { c.N, c.R, c.W = 1, 1, 1 })
+	nodes, chaos, _ := testCluster(t, 1, func(c *Config) { c.N, c.R, c.W = 1, 1, 1 })
 	n := nodes[0]
 	n.bump(func(s *Stats) { s.ReplFailures = 7; s.SloppyAcks = 5; s.HandoffKeys = 3 })
-	resp, err := mem.Send(context.Background(), "cli", n.ID(), transport.Request{Method: MethodStats})
+	resp, err := chaos.Send(context.Background(), "cli", n.ID(), transport.Request{Method: MethodStats})
 	if err != nil || resp.Err != "" {
 		t.Fatalf("stats rpc: %v %s", err, resp.Err)
 	}
@@ -422,15 +422,15 @@ func TestJoinLeaveOverTCP(t *testing.T) {
 // anti-entropy membership exchange (SyncMembership) converges all rings,
 // while leave tombstones keep gossip from resurrecting a departed node.
 func TestConcurrentJoinsConvergeViaMembershipGossip(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 4})
-	t.Cleanup(func() { mem.Close() })
-	a := gossipNode(t, mem, "a", []dot.ID{"b"})
-	b := gossipNode(t, mem, "b", []dot.ID{"a"})
+	chaos := transport.NewChaos(transport.NewLoopback(), 4)
+	t.Cleanup(func() { chaos.Close() })
+	a := gossipNode(t, chaos, "a", []dot.ID{"b"})
+	b := gossipNode(t, chaos, "b", []dot.ID{"a"})
 
 	// Split the seed members; each admits a different joiner.
-	mem.Partition("a", "b")
-	j1 := gossipNode(t, mem, "j1", nil)
-	j2 := gossipNode(t, mem, "j2", nil)
+	chaos.Partition("a", "b")
+	j1 := gossipNode(t, chaos, "j1", nil)
+	j2 := gossipNode(t, chaos, "j2", nil)
 	if err := j1.JoinCluster(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestConcurrentJoinsConvergeViaMembershipGossip(t *testing.T) {
 		t.Fatal("test setup: divergence did not occur")
 	}
 
-	mem.HealAll()
+	chaos.HealAll()
 	// A few gossip rounds (any all-pairs schedule converges; the AE loop
 	// provides this in production).
 	all := []*Node{a, b, j1, j2}
@@ -490,13 +490,13 @@ func TestConcurrentJoinsConvergeViaMembershipGossip(t *testing.T) {
 // passive (forwarded) join announcement arriving after a member.leave
 // must be ignored, while a direct re-join clears the tombstone.
 func TestForwardedJoinCannotResurrectDepartedNode(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 5})
-	t.Cleanup(func() { mem.Close() })
-	a := gossipNode(t, mem, "a", []dot.ID{"b"})
-	b := gossipNode(t, mem, "b", []dot.ID{"a"})
+	chaos := transport.NewChaos(transport.NewLoopback(), 5)
+	t.Cleanup(func() { chaos.Close() })
+	a := gossipNode(t, chaos, "a", []dot.ID{"b"})
+	b := gossipNode(t, chaos, "b", []dot.ID{"a"})
 	_ = b
 
-	j := gossipNode(t, mem, "j", nil)
+	j := gossipNode(t, chaos, "j", nil)
 	if err := j.JoinCluster(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestAntiEntropyTreePathLargeStore(t *testing.T) {
 	// On a store spread over many leaf buckets, one tree walk must
 	// reconcile exactly the divergent keys in both directions.
-	nodes, mem, _ := testCluster(t, 2, func(c *Config) {
+	nodes, chaos, _ := testCluster(t, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 	})
 	a, b := nodes[0], nodes[1]
@@ -30,7 +30,7 @@ func TestAntiEntropyTreePathLargeStore(t *testing.T) {
 		b.Store().SyncKey(key, st)
 	}
 	// Diverge a handful of keys on each side, plus one key unique to each.
-	mem.Partition(a.ID(), b.ID())
+	chaos.Partition(a.ID(), b.ID())
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("key-%04d", i*7)
 		rr, _ := a.Store().Get(key)
@@ -40,7 +40,7 @@ func TestAntiEntropyTreePathLargeStore(t *testing.T) {
 	}
 	_, _ = a.Store().Put("only-a", m.EmptyContext(), []byte("va"), core.WriteInfo{Server: a.ID(), Client: "ca"})
 	_, _ = b.Store().Put("only-b", m.EmptyContext(), []byte("vb"), core.WriteInfo{Server: b.ID(), Client: "cb"})
-	mem.HealAll()
+	chaos.HealAll()
 
 	if err := a.AntiEntropyWith(context.Background(), b.ID()); err != nil {
 		t.Fatal(err)
@@ -143,8 +143,8 @@ func TestChaosConvergence(t *testing.T) {
 	// converge every replica to the same value set and nothing durably
 	// written is lost. (Partition-induced divergence is deterministic;
 	// drop-rate chaos is exercised separately in the transport tests.)
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 31})
-	t.Cleanup(func() { mem.Close() })
+	chaos := transport.NewChaos(transport.NewLoopback(), 31)
+	t.Cleanup(func() { chaos.Close() })
 	r := ring.New(16)
 	ids := []dot.ID{"c0", "c1", "c2"}
 	for _, id := range ids {
@@ -153,7 +153,7 @@ func TestChaosConvergence(t *testing.T) {
 	nodes := make([]*Node, len(ids))
 	for i, id := range ids {
 		nd, err := New(Config{
-			ID: id, Mech: core.NewDVV(), Transport: mem, Ring: r,
+			ID: id, Mech: core.NewDVV(), Transport: chaos, Ring: r,
 			N: 3, R: 1, W: 1, Timeout: 200 * time.Millisecond, Seed: int64(i),
 		})
 		if err != nil {
@@ -166,10 +166,10 @@ func TestChaosConvergence(t *testing.T) {
 	written := map[string]bool{}
 	for i := 0; i < 60; i++ {
 		if i == 20 {
-			mem.Partition("c0", "c1")
+			chaos.Partition("c0", "c1")
 		}
 		if i == 40 {
-			mem.HealAll()
+			chaos.HealAll()
 		}
 		co := nodes[i%len(nodes)]
 		key := fmt.Sprintf("chaos-%d", i%7)
@@ -185,7 +185,7 @@ func TestChaosConvergence(t *testing.T) {
 			written[key] = true
 		}
 	}
-	mem.HealAll()
+	chaos.HealAll()
 	for round := 0; round < 3; round++ {
 		for _, a := range nodes {
 			for _, b := range nodes {

@@ -15,11 +15,12 @@ import (
 	"repro/internal/transport"
 )
 
-// testCluster wires n nodes over a memory transport with a shared ring.
-func testCluster(t *testing.T, n int, cfg func(*Config)) ([]*Node, *transport.Memory, *ring.Ring) {
+// testCluster wires n nodes over a Chaos-wrapped Loopback (clean until a
+// test injects faults) with a shared ring.
+func testCluster(t *testing.T, n int, cfg func(*Config)) ([]*Node, *transport.Chaos, *ring.Ring) {
 	t.Helper()
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 1})
-	t.Cleanup(func() { mem.Close() })
+	chaos := transport.NewChaos(transport.NewLoopback(), 99)
+	t.Cleanup(func() { chaos.Close() })
 	r := ring.New(16)
 	ids := make([]dot.ID, n)
 	for i := range ids {
@@ -29,7 +30,7 @@ func testCluster(t *testing.T, n int, cfg func(*Config)) ([]*Node, *transport.Me
 	nodes := make([]*Node, n)
 	for i, id := range ids {
 		c := Config{
-			ID: id, Mech: core.NewDVV(), Transport: mem, Ring: r,
+			ID: id, Mech: core.NewDVV(), Transport: chaos, Ring: r,
 			N: 3, R: 2, W: 2, Timeout: time.Second, Seed: int64(i),
 		}
 		if cfg != nil {
@@ -42,7 +43,7 @@ func testCluster(t *testing.T, n int, cfg func(*Config)) ([]*Node, *transport.Me
 		t.Cleanup(func() { nd.Close() })
 		nodes[i] = nd
 	}
-	return nodes, mem, r
+	return nodes, chaos, r
 }
 
 // ownerOf returns a node that coordinates key (first preference).
@@ -71,10 +72,10 @@ func sortedVals(rr core.ReadResult) []string {
 }
 
 func TestConfigValidation(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{})
-	defer mem.Close()
+	lb := transport.NewLoopback()
+	t.Cleanup(func() { lb.Close() })
 	r := ring.New(4)
-	base := Config{ID: "a", Mech: core.NewDVV(), Transport: mem, Ring: r}
+	base := Config{ID: "a", Mech: core.NewDVV(), Transport: lb, Ring: r}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
@@ -92,7 +93,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSingleNodePutGet(t *testing.T) {
-	nodes, mem, _ := testCluster(t, 1, func(c *Config) { c.N, c.R, c.W = 1, 1, 1 })
+	nodes, chaos, _ := testCluster(t, 1, func(c *Config) { c.N, c.R, c.W = 1, 1, 1 })
 	n := nodes[0]
 	m := n.cfg.Mech
 	// Put via RPC handler (as a client would).
@@ -109,7 +110,7 @@ func TestSingleNodePutGet(t *testing.T) {
 		t.Fatalf("put resp = %v", sortedVals(rr))
 	}
 	// Get via RPC through the transport.
-	gresp, err := mem.Send(context.Background(), "c1", n.ID(), transport.Request{
+	gresp, err := chaos.Send(context.Background(), "c1", n.ID(), transport.Request{
 		Method: MethodGet, Body: EncodeGetRequest(m, "k", ReadOptions{NotFoundOK: true}),
 	})
 	if err != nil || gresp.Err != "" {
@@ -245,13 +246,13 @@ func TestForwardingToOwner(t *testing.T) {
 }
 
 func TestWriteQuorumFailure(t *testing.T) {
-	nodes, mem, r := testCluster(t, 3, func(c *Config) { c.W = 3 })
+	nodes, chaos, r := testCluster(t, 3, func(c *Config) { c.W = 3 })
 	key := "quorum-key"
 	co := ownerOf(t, nodes, r, key)
 	// Cut the coordinator off from both peers: W=3 can never be met.
 	for _, n := range nodes {
 		if n.ID() != co.ID() {
-			mem.Partition(co.ID(), n.ID())
+			chaos.Partition(co.ID(), n.ID())
 		}
 	}
 	_, err := co.CoordinatePut(context.Background(), key, []byte("v1"), "c1", WriteOptions{})
@@ -264,16 +265,16 @@ func TestWriteQuorumFailure(t *testing.T) {
 }
 
 func TestAntiEntropyConvergence(t *testing.T) {
-	nodes, mem, r := testCluster(t, 2, func(c *Config) { c.N, c.R, c.W = 2, 1, 1 })
+	nodes, chaos, r := testCluster(t, 2, func(c *Config) { c.N, c.R, c.W = 2, 1, 1 })
 	a, b := nodes[0], nodes[1]
 	m := a.cfg.Mech
 	// Partition, write different keys at each side.
-	mem.Partition(a.ID(), b.ID())
+	chaos.Partition(a.ID(), b.ID())
 	_, _ = a.Store().Put("ka", m.EmptyContext(), []byte("va"), core.WriteInfo{Server: a.ID(), Client: "c1"})
 	_, _ = b.Store().Put("kb", m.EmptyContext(), []byte("vb"), core.WriteInfo{Server: b.ID(), Client: "c2"})
 	_, _ = a.Store().Put("shared", m.EmptyContext(), []byte("sa"), core.WriteInfo{Server: a.ID(), Client: "c1"})
 	_, _ = b.Store().Put("shared", m.EmptyContext(), []byte("sb"), core.WriteInfo{Server: b.ID(), Client: "c2"})
-	mem.HealAll()
+	chaos.HealAll()
 	if err := a.AntiEntropyWith(context.Background(), b.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +324,11 @@ func TestAntiEntropyLoopRuns(t *testing.T) {
 }
 
 func TestStatsRPC(t *testing.T) {
-	nodes, mem, _ := testCluster(t, 1, func(c *Config) { c.N, c.R, c.W = 1, 1, 1 })
+	nodes, chaos, _ := testCluster(t, 1, func(c *Config) { c.N, c.R, c.W = 1, 1, 1 })
 	n := nodes[0]
 	m := n.cfg.Mech
 	_ = m
-	resp, err := mem.Send(context.Background(), "cli", n.ID(), transport.Request{Method: MethodStats})
+	resp, err := chaos.Send(context.Background(), "cli", n.ID(), transport.Request{Method: MethodStats})
 	if err != nil || resp.Err != "" {
 		t.Fatalf("stats rpc: %v %s", err, resp.Err)
 	}

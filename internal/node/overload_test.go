@@ -16,39 +16,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dot"
-	"repro/internal/ring"
 	"repro/internal/transport"
 )
-
-// chaosCluster wires n nodes over a Chaos-wrapped memory transport.
-func chaosCluster(t *testing.T, n int, cfg func(*Config)) ([]*Node, *transport.Chaos, *ring.Ring) {
-	t.Helper()
-	chaos := transport.NewChaos(transport.NewMemory(transport.MemoryConfig{Seed: 1}), 99)
-	t.Cleanup(func() { chaos.Close() })
-	r := ring.New(16)
-	ids := make([]dot.ID, n)
-	for i := range ids {
-		ids[i] = dot.ID(fmt.Sprintf("n%02d", i))
-		r.Add(ids[i])
-	}
-	nodes := make([]*Node, n)
-	for i, id := range ids {
-		c := Config{
-			ID: id, Mech: core.NewDVV(), Transport: chaos, Ring: r,
-			N: 3, R: 2, W: 2, Timeout: time.Second, Seed: int64(i),
-		}
-		if cfg != nil {
-			cfg(&c)
-		}
-		nd, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { nd.Close() })
-		nodes[i] = nd
-	}
-	return nodes, chaos, r
-}
 
 func TestIsOverloadFlattened(t *testing.T) {
 	if !IsOverload(ErrOverload) {
@@ -71,7 +40,7 @@ func TestIsOverloadFlattened(t *testing.T) {
 // through the real transport and asserts the client-visible error is
 // recognised by IsOverload after string flattening.
 func TestErrOverloadWireRoundTrip(t *testing.T) {
-	nodes, chaos, r := chaosCluster(t, 3, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 3, func(c *Config) {
 		c.MaxInFlight = 1
 		c.MaxQueue = 1
 		c.QueueTarget = time.Millisecond
@@ -128,7 +97,7 @@ func TestErrOverloadWireRoundTrip(t *testing.T) {
 // half-open probe, and the probe's success closes it again.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	const cooldown = 50 * time.Millisecond
-	nodes, chaos, _ := chaosCluster(t, 2, func(c *Config) {
+	nodes, chaos, _ := testCluster(t, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 		c.BreakerFailures = 3
 		c.BreakerCooldown = cooldown
@@ -203,7 +172,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 // the breaker for another full cooldown.
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	const cooldown = 40 * time.Millisecond
-	nodes, chaos, _ := chaosCluster(t, 2, func(c *Config) {
+	nodes, chaos, _ := testCluster(t, 2, func(c *Config) {
 		c.N, c.R, c.W = 2, 1, 1
 		c.BreakerFailures = 2
 		c.BreakerCooldown = cooldown
@@ -236,7 +205,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 // mid-flight; correctness is "no deadlock, an error surfaces", and the
 // package leak checker proves the fan-out goroutines all drain.
 func TestHedgedReadCancellation(t *testing.T) {
-	nodes, chaos, r := chaosCluster(t, 4, func(c *Config) {
+	nodes, chaos, r := testCluster(t, 4, func(c *Config) {
 		c.N, c.R, c.W = 3, 2, 2
 		c.HedgedReads = true
 	})

@@ -57,8 +57,8 @@ func (rm *raceMech) CloneState(st core.State) core.State {
 // the snapshot itself, so with all replicas identical the repair count
 // must stay zero no matter what the coordinator writes concurrently.
 func TestReadRepairIgnoresOwnConcurrentWrites(t *testing.T) {
-	mem := transport.NewMemory(transport.MemoryConfig{Seed: 1})
-	t.Cleanup(func() { mem.Close() })
+	lb := transport.NewLoopback()
+	t.Cleanup(func() { lb.Close() })
 	r := ring.New(16)
 	ids := []dot.ID{"n00", "n01", "n02"}
 	for _, id := range ids {
@@ -72,7 +72,7 @@ func TestReadRepairIgnoresOwnConcurrentWrites(t *testing.T) {
 			m = rm // only the coordinator races against itself
 		}
 		nd, err := New(Config{
-			ID: id, Mech: m, Transport: mem, Ring: r,
+			ID: id, Mech: m, Transport: lb, Ring: r,
 			// W = N: the seeding put returns only when every replica holds it.
 			N: 3, R: 2, W: 3,
 			Timeout: time.Second, ReadRepair: true, Seed: int64(i),

@@ -262,7 +262,8 @@ func runNemesisOne(cfg NemesisConfig, mech core.Mechanism) (NemesisResult, error
 
 	// All traffic — client RPCs, replication, hints, anti-entropy — runs
 	// through the chaos wrapper, so one rule table is the whole network.
-	chaos := transport.NewChaos(transport.NewMemory(transport.MemoryConfig{Seed: cfg.Seed}), cfg.Seed*131)
+	chaos := transport.NewChaos(transport.NewLoopback(), cfg.Seed*131)
+	defer chaos.Close()
 	var skewFn func(dot.ID) time.Duration
 	if cfg.ClockSkew != 0 {
 		// Alternate the sign by node index so neighbouring preference-

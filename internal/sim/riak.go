@@ -27,8 +27,11 @@ type RiakConfig struct {
 	GetFraction float64
 	// BlindFraction of writes present no context (racing writers).
 	BlindFraction float64
-	// Latency models the simulated network; PerByte is what converts
-	// metadata bloat into measurable delay.
+	// Latency is injected by transport.Chaos on every link, both legs:
+	// Base ± Jitter uniform per message (Delay = Base − Jitter plus a
+	// Reorder window of 2·Jitter) on top of the loopback mux's own cost,
+	// plus PerByte × payload — the term that converts metadata bloat into
+	// measurable delay.
 	Base    time.Duration
 	Jitter  time.Duration
 	PerByte time.Duration
@@ -100,21 +103,20 @@ func RunRiak(cfg RiakConfig, mechs ...core.Mechanism) ([]RiakResult, *stats.Tabl
 }
 
 func runRiakOne(cfg RiakConfig, mech core.Mechanism) (RiakResult, error) {
-	mem := transport.NewMemory(transport.MemoryConfig{
-		Latency: transport.FixedLatency{Base: cfg.Base, Jitter: cfg.Jitter, PerByte: cfg.PerByte},
-		Seed:    cfg.Seed,
+	chaos := transport.NewChaos(transport.NewLoopback(), cfg.Seed)
+	defer chaos.Close()
+	chaos.SetDefault(transport.LinkFaults{
+		Delay: cfg.Base - cfg.Jitter, Reorder: 2 * cfg.Jitter, PerByte: cfg.PerByte,
 	})
 	cl, err := cluster.New(cluster.Config{
 		Mech: mech, Nodes: cfg.Nodes, N: cfg.N, R: cfg.R, W: cfg.W,
-		Transport: mem, Timeout: 10 * time.Second, Seed: cfg.Seed,
+		Transport: chaos, Timeout: 10 * time.Second, Seed: cfg.Seed,
 		StoreShards: cfg.StoreShards,
 	})
 	if err != nil {
-		mem.Close()
 		return RiakResult{}, err
 	}
 	defer cl.Close()
-	defer mem.Close()
 
 	gen := workload.NewGenerator(
 		workload.NewZipf(cfg.Keys, cfg.ZipfSkew, cfg.Seed),
@@ -153,8 +155,8 @@ func runRiakOne(cfg RiakConfig, mech core.Mechanism) (RiakResult, error) {
 		}
 		keysTouched[op.Key] = true
 	}
-	res.WireBytes = mem.BytesSent()
-	res.WireMessages = mem.MessagesSent()
+	res.WireBytes = chaos.BytesSent()
+	res.WireMessages = chaos.MessagesSent()
 	for _, n := range cl.Nodes {
 		res.MetadataBytes += n.Store().TotalMetadataBytes()
 	}

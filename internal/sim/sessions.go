@@ -195,7 +195,7 @@ func runSessionsOne(cfg SessionsConfig, cell sessionsCell) (SessionsResult, erro
 	// editors; client links stay clean. Floors then genuinely wait (the
 	// SessionWaits/SessionRetries columns), instead of replication always
 	// winning the race on a zero-latency network.
-	chaos := transport.NewChaos(transport.NewMemory(transport.MemoryConfig{Seed: cfg.Seed}), cfg.Seed*37)
+	chaos := transport.NewChaos(transport.NewLoopback(), cfg.Seed*37)
 	defer chaos.Close()
 	ids := cluster.NodeIDs(cfg.Nodes)
 	setNodeLinks := func(f transport.LinkFaults) {

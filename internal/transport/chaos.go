@@ -13,9 +13,10 @@ import (
 // is a clean link. Rules apply independently to the request leg (from→to)
 // and the response leg (to→from): a message on a leg is first checked
 // against Sever, then rolled against DropRate, then delayed by
-// Delay + uniform[0, Reorder). Because each message samples its own extra
-// delay, two messages sent back-to-back on the same link can overtake each
-// other — that is the bounded-reorder model (bound = Reorder).
+// Delay + PerByte×payload + uniform[0, Reorder), floored at zero. Because
+// each message samples its own extra delay, two messages sent back-to-back
+// on the same link can overtake each other — that is the bounded-reorder
+// model (bound = Reorder).
 type LinkFaults struct {
 	// Sever drops every message on the leg (one-directional partition).
 	Sever bool
@@ -26,6 +27,10 @@ type LinkFaults struct {
 	DupRate float64
 	// Delay is a fixed extra one-way delay applied to every message.
 	Delay time.Duration
+	// PerByte adds this much delay per payload byte (the request's method
+	// and body, or the response's body): the term that turns metadata
+	// bloat into request latency in the C3 experiment.
+	PerByte time.Duration
 	// Reorder adds uniform[0, Reorder) random delay per message, which
 	// lets later messages overtake earlier ones by up to Reorder.
 	Reorder time.Duration
@@ -33,7 +38,7 @@ type LinkFaults struct {
 
 // clean reports whether the rule does nothing.
 func (f LinkFaults) clean() bool {
-	return !f.Sever && f.DropRate == 0 && f.DupRate == 0 && f.Delay == 0 && f.Reorder == 0
+	return !f.Sever && f.DropRate == 0 && f.DupRate == 0 && f.Delay == 0 && f.PerByte == 0 && f.Reorder == 0
 }
 
 // ChaosStats counts fault injections, in the spirit of the Meter
@@ -50,12 +55,15 @@ type ChaosStats struct {
 }
 
 // Chaos wraps any Transport and applies per-peer-pair fault rules —
-// sever, probabilistic drop/duplication, fixed delay and bounded reorder
-// — on both legs of every Send. It is how the same nemesis timeline runs
-// against the simulated Memory network and the real-socket Mux/TCP
-// transports: the wrapper sits between the node and the wire, so faults
-// hit requests before they are written and responses before they are
-// returned. The RNG is seeded, so a fault schedule is reproducible.
+// sever, probabilistic drop/duplication, fixed and per-byte delay and
+// bounded reorder — on both legs of every Send. It is the only place
+// faults and latency are injected: the nemesis, session and C3
+// experiments and the failure tests wrap a Loopback with it, and it
+// wraps a Mux just the same. The wrapper sits between the node and the
+// wire, so faults hit requests before they are written and responses
+// before they are returned; a dropped message fails its Send at once
+// rather than costing a timeout. The RNG is seeded, so a fault schedule
+// is reproducible.
 type Chaos struct {
 	inner Transport
 
@@ -157,10 +165,10 @@ func (c *Chaos) link(from, to dot.ID) LinkFaults {
 	return c.def
 }
 
-// admit rolls the fault dice for one directed message. It returns
-// (dup, delay, nil) when the message goes through — dup only ever true on
-// request legs — or ErrUnreachable when severed or dropped.
-func (c *Chaos) admit(from, to dot.ID, isRequest bool) (bool, time.Duration, error) {
+// admit rolls the fault dice for one directed message of payload bytes.
+// It returns (dup, delay, nil) when the message goes through — dup only
+// ever true on request legs — or ErrUnreachable when severed or dropped.
+func (c *Chaos) admit(from, to dot.ID, payload int, isRequest bool) (bool, time.Duration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f := c.link(from, to)
@@ -172,12 +180,14 @@ func (c *Chaos) admit(from, to dot.ID, isRequest bool) (bool, time.Duration, err
 		c.stats.Dropped++
 		return false, 0, ErrUnreachable
 	}
-	delay := f.Delay
+	delay := f.Delay + time.Duration(payload)*f.PerByte
 	if f.Reorder > 0 {
 		delay += time.Duration(c.rng.Int63n(int64(f.Reorder)))
 	}
 	if delay > 0 {
 		c.stats.Delayed++
+	} else {
+		delay = 0 // a negative Delay (Base − Jitter in C3) means none
 	}
 	dup := false
 	if isRequest && f.DupRate > 0 && c.rng.Float64() < f.DupRate {
@@ -208,7 +218,7 @@ func (c *Chaos) sleep(ctx context.Context, d time.Duration) error {
 // receivers must be idempotent, which is exactly what the nemesis
 // experiments verify end to end.
 func (c *Chaos) Send(ctx context.Context, from, to dot.ID, req Request) (Response, error) {
-	dup, d1, err := c.admit(from, to, true)
+	dup, d1, err := c.admit(from, to, len(req.Method)+len(req.Body), true)
 	if err != nil {
 		return Response{}, err
 	}
@@ -231,7 +241,7 @@ func (c *Chaos) Send(ctx context.Context, from, to dot.ID, req Request) (Respons
 	if err != nil {
 		return Response{}, err
 	}
-	_, d2, err := c.admit(to, from, false)
+	_, d2, err := c.admit(to, from, len(resp.Body), false)
 	if err != nil {
 		return Response{}, err
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,13 +12,21 @@ import (
 	"repro/internal/dot"
 )
 
-func TestMemoryPartitionOneWay(t *testing.T) {
-	m := NewMemory(MemoryConfig{})
-	defer m.Close()
-	m.Register("a", echoHandler(""))
-	m.Register("b", echoHandler(""))
-	m.PartitionOneWay("a", "b")
-	if _, err := m.Send(context.Background(), "a", "b", Request{Method: "x"}); !errors.Is(err, ErrUnreachable) {
+// newChaos wraps a fresh Loopback in Chaos and closes both when the test
+// ends.
+func newChaos(t *testing.T, seed int64) *Chaos {
+	t.Helper()
+	c := NewChaos(NewLoopback(), seed)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+func TestChaosPartitionOneWay(t *testing.T) {
+	c := newChaos(t, 1)
+	c.Register("a", echoHandler(""))
+	c.Register("b", echoHandler(""))
+	c.PartitionOneWay("a", "b")
+	if _, err := c.Send(context.Background(), "a", "b", Request{Method: "x"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("a→b should be severed: %v", err)
 	}
 	// b→a's request leg is open (the handler runs — see the next test),
@@ -25,32 +34,31 @@ func TestMemoryPartitionOneWay(t *testing.T) {
 	// delivers to a yet never hears back. That is the true asymmetric
 	// network, and why a one-way cut degrades *both* sides' RPCs while
 	// only one direction of raw delivery is lost.
-	if _, err := m.Send(context.Background(), "b", "a", Request{Method: "x"}); !errors.Is(err, ErrUnreachable) {
+	if _, err := c.Send(context.Background(), "b", "a", Request{Method: "x"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("b→a delivers but the response leg a→b is cut: %v", err)
 	}
-	m.Heal("a", "b")
-	if _, err := m.Send(context.Background(), "a", "b", Request{Method: "x"}); err != nil {
+	c.Heal("a", "b")
+	if _, err := c.Send(context.Background(), "a", "b", Request{Method: "x"}); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
-	if _, err := m.Send(context.Background(), "b", "a", Request{Method: "x"}); err != nil {
+	if _, err := c.Send(context.Background(), "b", "a", Request{Method: "x"}); err != nil {
 		t.Fatalf("after heal reverse: %v", err)
 	}
 }
 
-func TestMemoryPartitionOneWayHandlerStillRuns(t *testing.T) {
+func TestChaosPartitionOneWayHandlerStillRuns(t *testing.T) {
 	// The defining property of the asymmetric cut: traffic in the open
 	// direction is *delivered* (the handler runs) even when the reverse
 	// leg eats the response.
-	m := NewMemory(MemoryConfig{})
-	defer m.Close()
+	c := newChaos(t, 1)
 	var delivered atomic.Int64
-	m.Register("a", func(_ context.Context, _ dot.ID, req Request) Response {
+	c.Register("a", func(_ context.Context, _ dot.ID, req Request) Response {
 		delivered.Add(1)
 		return Response{}
 	})
-	m.Register("b", echoHandler(""))
-	m.PartitionOneWay("a", "b")
-	if _, err := m.Send(context.Background(), "b", "a", Request{Method: "x"}); !errors.Is(err, ErrUnreachable) {
+	c.Register("b", echoHandler(""))
+	c.PartitionOneWay("a", "b")
+	if _, err := c.Send(context.Background(), "b", "a", Request{Method: "x"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("want lost response, got %v", err)
 	}
 	if delivered.Load() != 1 {
@@ -58,10 +66,40 @@ func TestMemoryPartitionOneWayHandlerStillRuns(t *testing.T) {
 	}
 }
 
+// TestChaosPerByteDelay: PerByte charges every payload byte on the leg,
+// which is how C3 turns metadata bloat into request latency.
+func TestChaosPerByteDelay(t *testing.T) {
+	c := newChaos(t, 1)
+	c.Register("srv", func(context.Context, dot.ID, Request) Response { return Response{} })
+	c.SetLink("cli", "srv", LinkFaults{PerByte: time.Microsecond})
+	start := time.Now()
+	if _, err := c.Send(context.Background(), "cli", "srv", Request{Method: "x", Body: make([]byte, 20000)}); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el < 20*time.Millisecond {
+		t.Fatalf("elapsed %v, want ≥ 20ms for 20 KB at 1µs/byte", el)
+	}
+	// The response leg has no rule and an empty body: no delay there.
+	if got := c.Stats().Delayed; got != 1 {
+		t.Fatalf("Delayed = %d, want 1", got)
+	}
+}
+
+// TestChaosDelayNeverNegative: C3 maps Base ± Jitter to Delay = Base −
+// Jitter, which is negative when Jitter > Base; such a draw means no
+// delay, never a negative one.
+func TestChaosDelayNeverNegative(t *testing.T) {
+	c := NewChaos(nil, 2)
+	c.SetDefault(LinkFaults{Delay: time.Millisecond - 10*time.Millisecond, Reorder: 20 * time.Millisecond})
+	for i := 0; i < 1000; i++ {
+		if _, d, err := c.admit("a", "b", 0, true); err != nil || d < 0 {
+			t.Fatalf("admit = %v, %v; want a non-negative delay", d, err)
+		}
+	}
+}
+
 func TestChaosSeverAndHeal(t *testing.T) {
-	inner := NewMemory(MemoryConfig{})
-	c := NewChaos(inner, 1)
-	defer c.Close()
+	c := newChaos(t, 1)
 	c.Register("a", echoHandler(""))
 	c.Register("b", echoHandler(""))
 
@@ -86,6 +124,10 @@ func TestChaosSeverAndHeal(t *testing.T) {
 	if _, err := c.Send(context.Background(), "b", "a", Request{Method: "x"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("both-way partition: %v", err)
 	}
+	// Unrelated pairs still work.
+	if _, err := c.Send(context.Background(), "cli", "a", Request{Method: "x"}); err != nil {
+		t.Fatalf("unrelated pair: %v", err)
+	}
 	c.HealAll()
 	if _, err := c.Send(context.Background(), "b", "a", Request{Method: "x"}); err != nil {
 		t.Fatalf("after HealAll: %v", err)
@@ -93,9 +135,7 @@ func TestChaosSeverAndHeal(t *testing.T) {
 }
 
 func TestChaosDropRate(t *testing.T) {
-	inner := NewMemory(MemoryConfig{})
-	c := NewChaos(inner, 7)
-	defer c.Close()
+	c := newChaos(t, 7)
 	c.Register("srv", echoHandler(""))
 	c.SetLink("cli", "srv", LinkFaults{DropRate: 0.5})
 	drops := 0
@@ -118,10 +158,46 @@ func TestChaosDropRate(t *testing.T) {
 	}
 }
 
+// TestChaosDefaultDropsBothLegs: the default rule applies to the response
+// leg too, so a request fails unless both legs survive their rolls.
+func TestChaosDefaultDropsBothLegs(t *testing.T) {
+	c := newChaos(t, 42)
+	c.Register("srv", echoHandler(""))
+	c.SetDefault(LinkFaults{DropRate: 0.5})
+	drops := 0
+	for i := 0; i < 200; i++ {
+		if _, err := c.Send(context.Background(), "cli", "srv", Request{Method: "x"}); err != nil {
+			drops++
+		}
+	}
+	if drops < 100 || drops > 180 { // P(fail) = 1-(0.5*0.5) = 0.75 ± noise
+		t.Fatalf("drops = %d, expected ~150", drops)
+	}
+	if got := c.Stats().Dropped; got != uint64(drops) {
+		t.Fatalf("Dropped = %d, want %d", got, drops)
+	}
+}
+
+// TestChaosDefaultDelaysBothLegs: a default Delay is paid on the request
+// and on the response leg.
+func TestChaosDefaultDelaysBothLegs(t *testing.T) {
+	c := newChaos(t, 1)
+	c.Register("srv", echoHandler(""))
+	c.SetDefault(LinkFaults{Delay: 5 * time.Millisecond})
+	start := time.Now()
+	if _, err := c.Send(context.Background(), "cli", "srv", Request{Method: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
+		t.Fatalf("expected ≥10ms round trip, got %v", elapsed)
+	}
+	if got := c.Stats().Delayed; got != 2 {
+		t.Fatalf("Delayed = %d, want 2", got)
+	}
+}
+
 func TestChaosDefaultRuleAndOverride(t *testing.T) {
-	inner := NewMemory(MemoryConfig{})
-	c := NewChaos(inner, 3)
-	defer c.Close()
+	c := newChaos(t, 3)
 	c.Register("srv", echoHandler(""))
 	c.SetDefault(LinkFaults{Sever: true})
 	c.SetLink("cli", "srv", LinkFaults{DropRate: 1e-12}) // effectively clean, but overrides the default
@@ -141,9 +217,7 @@ func TestChaosDefaultRuleAndOverride(t *testing.T) {
 }
 
 func TestChaosDuplicationDeliversTwice(t *testing.T) {
-	inner := NewMemory(MemoryConfig{})
-	c := NewChaos(inner, 5)
-	defer c.Close()
+	c := newChaos(t, 5)
 	var (
 		mu    sync.Mutex
 		calls int
@@ -185,9 +259,7 @@ func TestChaosDuplicationDeliversTwice(t *testing.T) {
 }
 
 func TestChaosReorderDelays(t *testing.T) {
-	inner := NewMemory(MemoryConfig{})
-	c := NewChaos(inner, 9)
-	defer c.Close()
+	c := newChaos(t, 9)
 	c.Register("srv", echoHandler(""))
 	c.SetLink("cli", "srv", LinkFaults{Delay: 2 * time.Millisecond, Reorder: time.Millisecond})
 	start := time.Now()
@@ -210,20 +282,24 @@ func TestChaosReorderDelays(t *testing.T) {
 }
 
 func TestChaosDelegatesAddrBookAndMeter(t *testing.T) {
-	inner := NewMemory(MemoryConfig{})
+	inner := NewLoopback()
 	c := NewChaos(inner, 2)
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	c.Register("srv", echoHandler(""))
 	if _, err := c.Send(context.Background(), "cli", "srv", Request{Method: "x", Body: []byte("abc")}); err != nil {
 		t.Fatal(err)
 	}
-	if c.MessagesSent() != inner.MessagesSent() || c.MessagesSent() == 0 {
+	// hello + request from cli's mux, response from srv's.
+	eventually(t, func() bool { return c.MessagesSent() == 3 }, func() string {
+		return fmt.Sprintf("chaos MessagesSent = %d, want 3", c.MessagesSent())
+	})
+	if c.MessagesSent() != inner.MessagesSent() {
 		t.Fatalf("meter passthrough: chaos %d, inner %d", c.MessagesSent(), inner.MessagesSent())
 	}
-	if c.BytesSent() != inner.BytesSent() {
+	if c.BytesSent() != inner.BytesSent() || c.BytesSent() == 0 {
 		t.Fatalf("bytes passthrough: chaos %d, inner %d", c.BytesSent(), inner.BytesSent())
 	}
-	// Memory has no AddrBook — the delegations degrade gracefully.
+	// Loopback has no AddrBook — the delegations degrade gracefully.
 	c.SetAddr("srv", "host:1")
 	if got := c.Addr(); got != "" {
 		t.Fatalf("Addr over a bookless inner transport = %q", got)

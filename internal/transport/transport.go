@@ -1,16 +1,15 @@
 // Package transport is the message layer between replica servers and
-// clients. Two interchangeable implementations back the same interface:
+// clients. It has one RPC implementation, Mux: one long-lived TCP
+// connection per peer pair carrying concurrent in-flight requests, with
+// request-id correlation, per-request deadlines, coalesced flushes and
+// reconnect backoff. cmd/dvvstore runs one per process; the benchmark
+// cluster runs one per node.
 //
-//   - Memory: an in-process simulated network with seeded latency
-//     distributions, per-byte transfer cost, message drops and partitions.
-//     The latency experiments (C3) run on it so that metadata size has a
-//     controlled, reproducible effect on request latency.
-//   - Mux: the real-network transport — one long-lived TCP connection per
-//     peer pair carrying concurrent in-flight requests, with coalesced
-//     flushes and reconnect backoff. cmd/dvvstore and the benchmark
-//     cluster run on it.
-//
-// Chaos wraps either one with injectable link faults.
+// Loopback hosts a whole cluster in one process on that same stack: one
+// Mux per node on 127.0.0.1, so the experiments and tests exercise the
+// production framing and deadlines. Chaos wraps either one and is the
+// only place faults and latency are injected: severed links, drops,
+// duplicates, fixed and per-byte delay, and bounded reorder.
 //
 // Requests are (method, body) pairs; bodies are opaque mechanism-encoded
 // payloads produced with internal/codec.
@@ -59,10 +58,11 @@ type Transport interface {
 	Close() error
 }
 
-// AddrBook is implemented by transports that address peers by network
-// location (the Mux); the membership gossip uses it to teach a
-// transport about joining peers and to share the addresses it knows. The
-// in-memory transport has no addresses and does not implement it.
+// AddrBook is implemented by transports whose peers are addressed by the
+// node itself (the Mux, and Chaos passing through to it); the membership
+// gossip uses it to teach a transport about joining peers and to share
+// the addresses it knows. Loopback assigns every address itself and does
+// not implement it.
 type AddrBook interface {
 	// SetAddr records or updates a peer's dialable address.
 	SetAddr(id dot.ID, addr string)
@@ -73,11 +73,11 @@ type AddrBook interface {
 }
 
 // Meter is implemented by transports that account their wire traffic.
-// Memory and Mux satisfy it (Chaos passes it through); the anti-entropy
-// experiment (E5) and the benchmark sum counters across every transport
-// in a deployment to report network cost. Counter semantics: each
-// transport counts the frames *it* puts on the wire (requests it
-// originates plus, for the mux, responses it writes), so cluster-wide
+// Mux satisfies it, Loopback sums it over its muxes, and Chaos passes it
+// through; the anti-entropy (E5) and C3 experiments and the benchmark
+// read it to report network cost. Counter semantics: each mux counts the
+// frames *it* puts on the wire (the requests it originates, the responses
+// it writes and one hello per dial), in framed bytes, so cluster-wide
 // sums count every frame once.
 type Meter interface {
 	// BytesSent returns cumulative framed payload bytes sent.
