@@ -100,7 +100,10 @@ func DefaultOverloadConfig() OverloadConfig {
 	// service time under the detector keeps the experiment I/O-bound —
 	// the regime it is designed to test — instead of benchmarking the
 	// detector itself; the queue target scales with it because a put
-	// legitimately waits a couple of group-commit batches.
+	// legitimately waits a couple of group-commit batches, and so does
+	// the slow-call breaker threshold, because a healthy peer's RPC over
+	// loopback TCP then costs several times more CPU and must not read
+	// as a latency outlier.
 	baseFsync := 2 * time.Millisecond
 	if raceEnabled {
 		baseFsync = 8 * time.Millisecond
@@ -135,7 +138,7 @@ func DefaultOverloadConfig() OverloadConfig {
 		MaxInFlight:     64,
 		QueueTarget:     10 * baseFsync,
 		BreakerFailures: 5,
-		BreakerLatency:  20 * time.Millisecond,
+		BreakerLatency:  10 * baseFsync,
 		// Cooldown is deliberately several RPC-times long: every half-open
 		// probe against a still-stalled peer pays the full stall, so rapid
 		// re-probing would dominate the amortised cost of talking to it.

@@ -23,9 +23,6 @@ type Loopback struct {
 	addrs   map[dot.ID]string // listen address per registered id
 	clients *Mux              // the shared dial-only mux, nil until used
 	closed  bool
-	// Counters of muxes already closed by a re-registration, so the
-	// Meter sums stay cumulative across restarts.
-	bytesGone, msgsGone uint64
 }
 
 // NewLoopback creates an empty in-process host.
@@ -57,10 +54,6 @@ func (l *Loopback) Register(id dot.ID, h Handler) {
 			o.Deregister(id) // drop conns and backoff left by the old mux
 		}
 		o.SetAddr(id, l.addrs[id])
-	}
-	if old != nil {
-		l.bytesGone += old.BytesSent()
-		l.msgsGone += old.MessagesSent()
 	}
 	l.mu.Unlock()
 	if old != nil {
@@ -125,22 +118,22 @@ func (l *Loopback) Send(ctx context.Context, from, to dot.ID, req Request) (Resp
 	return m.Send(ctx, from, to, req)
 }
 
-// BytesSent sums the framed bytes written by every mux.
+// BytesSent sums the framed bytes written by every live mux.
 func (l *Loopback) BytesSent() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.bytesGone
+	var n uint64
 	for _, m := range l.others("") {
 		n += m.BytesSent()
 	}
 	return n
 }
 
-// MessagesSent sums the frames written by every mux.
+// MessagesSent sums the frames written by every live mux.
 func (l *Loopback) MessagesSent() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.msgsGone
+	var n uint64
 	for _, m := range l.others("") {
 		n += m.MessagesSent()
 	}
