@@ -105,10 +105,7 @@ func serve(args []string) error {
 
 		maxInflight = fs.Int("max-inflight", 0, "admission control: max in-flight coordinator requests; excess queue briefly, then shed with an overload error (0 disables)")
 		queueTarget = fs.Duration("queue-target", 0, "admission queue-delay bound before a queued request is shed (with -max-inflight; 0 = 5ms)")
-		brkFails    = fs.Int("breaker-failures", 0, "per-peer circuit breaker: consecutive replica-RPC failures before the breaker opens (0 disables breakers)")
-		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before one half-open probe (with -breaker-failures; 0 = 100ms)")
 		hedged      = fs.Bool("hedged-reads", false, "hedge quorum reads: contact need-1 replicas, launch one extra after the p99-derived hedge delay")
-		brownout    = fs.Bool("brownout", false, "serve default-level reads from the local snapshot while shedding (degraded but session-consistent) instead of failing them")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -153,10 +150,7 @@ func serve(args []string) error {
 		MemBudget:           *budget,
 		MaxInFlight:         *maxInflight,
 		QueueTarget:         *queueTarget,
-		BreakerFailures:     *brkFails,
-		BreakerCooldown:     *brkCooldown,
 		HedgedReads:         *hedged,
-		Brownout:            *brownout,
 	})
 	if err != nil {
 		return err

@@ -55,7 +55,6 @@ type Controller struct {
 	queued   atomic.Int64
 	admitted atomic.Uint64
 	shed     atomic.Uint64
-	lastShed atomic.Int64 // unix nanos of the most recent shed
 
 	mu     sync.Mutex
 	delays [delayWindow]time.Duration // ring of recent queue sojourns
@@ -92,7 +91,7 @@ func (c *Controller) Acquire(ctx context.Context) (release func(), err error) {
 	}
 
 	if int(c.queued.Load()) >= c.cfg.MaxQueue {
-		c.noteShed()
+		c.shed.Add(1)
 		return nil, ErrOverload
 	}
 	c.queued.Add(1)
@@ -109,7 +108,7 @@ func (c *Controller) Acquire(ctx context.Context) (release func(), err error) {
 	case <-t.C:
 		// Waited past the sojourn target: shed so the queue stays
 		// short instead of growing toward the RPC timeout.
-		c.noteShed()
+		c.shed.Add(1)
 		return nil, ErrOverload
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -117,19 +116,6 @@ func (c *Controller) Acquire(ctx context.Context) (release func(), err error) {
 }
 
 func (c *Controller) release() { <-c.slots }
-
-func (c *Controller) noteShed() {
-	c.shed.Add(1)
-	c.lastShed.Store(time.Now().UnixNano())
-}
-
-// Overloaded reports whether the controller shed a request recently
-// (within ~100ms). Brownout policies use this as the "currently
-// shedding" signal.
-func (c *Controller) Overloaded() bool {
-	last := c.lastShed.Load()
-	return last != 0 && time.Since(time.Unix(0, last)) < 100*time.Millisecond
-}
 
 func (c *Controller) record(d time.Duration) {
 	c.mu.Lock()

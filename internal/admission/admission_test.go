@@ -104,22 +104,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestOverloadedSignal(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 1, QueueTarget: time.Millisecond})
-	if c.Overloaded() {
-		t.Fatal("fresh controller reports overloaded")
-	}
-	release, _ := c.Acquire(context.Background())
-	_, err := c.Acquire(context.Background()) // sheds after target
-	if !errors.Is(err, ErrOverload) {
-		t.Fatalf("err = %v, want ErrOverload", err)
-	}
-	if !c.Overloaded() {
-		t.Fatal("controller not overloaded right after a shed")
-	}
-	release()
-}
-
 func TestConcurrentStress(t *testing.T) {
 	c := New(Config{MaxInFlight: 4, MaxQueue: 8, QueueTarget: time.Millisecond})
 	var wg sync.WaitGroup

@@ -86,16 +86,10 @@ type Config struct {
 	RepairConcurrency int
 
 	// Overload plane (see the matching node.Config fields): admission
-	// control per node (MaxInFlight/QueueTarget), per-peer circuit
-	// breakers (BreakerFailures/BreakerCooldown/BreakerLatency), hedged
-	// quorum reads and brownout degradation.
-	MaxInFlight     int
-	QueueTarget     time.Duration
-	BreakerFailures int
-	BreakerCooldown time.Duration
-	BreakerLatency  time.Duration
-	HedgedReads     bool
-	Brownout        bool
+	// control per node (MaxInFlight/QueueTarget) and hedged quorum reads.
+	MaxInFlight int
+	QueueTarget time.Duration
+	HedgedReads bool
 
 	// ClientRetries lets clients retry a failed Get/Put up to this many
 	// extra attempts, gated by the cluster-wide retry budget. 0 keeps
@@ -261,11 +255,7 @@ func (c *Cluster) startNode(id dot.ID, seedOffset int64) (*node.Node, error) {
 		Seed:                c.cfg.Seed + seedOffset,
 		MaxInFlight:         c.cfg.MaxInFlight,
 		QueueTarget:         c.cfg.QueueTarget,
-		BreakerFailures:     c.cfg.BreakerFailures,
-		BreakerCooldown:     c.cfg.BreakerCooldown,
-		BreakerLatency:      c.cfg.BreakerLatency,
 		HedgedReads:         c.cfg.HedgedReads,
-		Brownout:            c.cfg.Brownout,
 		Now:                 nowFn,
 	})
 }

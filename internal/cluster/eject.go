@@ -7,24 +7,24 @@ import (
 	"repro/internal/dot"
 )
 
-// ejector is the client-side dual of the server-side per-peer circuit
-// breaker (node/breaker.go): a cluster-wide outlier map of coordinators
-// that recently failed a client request at the transport level (timeout
-// or unreachable — the signature of a sick or partitioned node, as
-// opposed to orderly ErrOverload pushback, which is cheap and already
-// handled by the retry budget). Routing policies that get to choose
-// among several candidates (RouteOwner, RouteRandom) prefer non-ejected
-// nodes, so open-loop load drains away from a sick coordinator instead
-// of re-discovering the failure once per operation per client at full
-// RPC-timeout cost.
+// ejector is the client-side failure detector, the dual of the nodes'
+// peer suspicion (node.Suspected): a cluster-wide outlier map of
+// coordinators that recently failed a client request at the transport
+// level (timeout or unreachable — the signature of a sick or partitioned
+// node, as opposed to orderly ErrOverload pushback, which is cheap and
+// already handled by the retry budget). Routing policies that get to
+// choose among several candidates (RouteOwner, RouteRandom) prefer
+// non-ejected nodes, so open-loop load drains away from a sick
+// coordinator instead of re-discovering the failure once per operation
+// per client at full RPC-timeout cost.
 //
-// Recovery mirrors the breaker's half-open state. When an ejection
-// window expires, the first pick that considers the node is let through
-// as the probe and the window is silently re-armed, so every other pick
-// keeps avoiding until the probe resolves: a transport failure extends
-// the ejection, a successful WRITE clears it. Reads do not clear — a
-// node whose WAL is wedged still answers reads promptly, and readmitting
-// it on that evidence would send writes straight back into the stall.
+// Recovery is a single probe. When an ejection window expires, the
+// first pick that considers the node is let through as the probe and
+// the window is silently re-armed, so every other pick keeps avoiding
+// until the probe resolves: a transport failure extends the ejection, a
+// successful WRITE clears it. Reads do not clear — a node whose WAL is
+// wedged still answers reads promptly, and readmitting it on that
+// evidence would send writes straight back into the stall.
 type ejector struct {
 	window time.Duration
 

@@ -153,15 +153,10 @@ func (b *replBatcher) drain(q *peerQueue, err error) {
 
 // sendReplBatch encodes as many leading items as fit one frame (at most
 // ReplBatchKeys pairs, stopping past replBatchSoftBytes) and sends it on
-// a fresh node-timeout budget, with the same breaker and suspicion
+// a fresh node-timeout budget, with the same RPC-cost and suspicion
 // bookkeeping as replGet. It returns how many items the frame consumed
 // (≥ 1) and the frame's fate.
 func (n *Node) sendReplBatch(peer dot.ID, items []batchItem) (int, error) {
-	if berr := n.breakerAllow(peer); berr != nil {
-		// Fail the whole frame fast: every item was bound for the same
-		// broken peer, and each caller's fallback/hint path handles it.
-		return min(len(items), n.cfg.ReplBatchKeys), berr
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Timeout)
 	defer cancel()
 	pw := getWriter() // payload: the (key, state) pairs, no count prefix yet
@@ -188,7 +183,7 @@ func (n *Node) sendReplBatch(peer dot.ID, items []batchItem) (int, error) {
 	resp, err := n.cfg.Transport.Send(ctx, n.cfg.ID, peer, transport.Request{
 		Method: MethodReplBatch, Body: w.Bytes(),
 	})
-	n.breakerReport(peer, time.Since(start), err)
+	n.rpcCost.record(peer, time.Since(start))
 	if err != nil {
 		n.noteSendFailure(peer)
 		return count, err

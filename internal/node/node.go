@@ -158,33 +158,12 @@ type Config struct {
 	QueueTarget time.Duration
 	MaxQueue    int
 
-	// BreakerFailures enables per-peer circuit breakers on the replica
-	// RPC path: after this many consecutive failed sends to a peer (or
-	// once its latency EWMA passes BreakerLatency) the breaker opens and
-	// RPCs to it fail fast to the sloppy-fallback/hint machinery instead
-	// of paying the timeout. 0 disables breakers (latency accounting
-	// stays on either way).
-	BreakerFailures int
-
-	// BreakerCooldown is how long an open breaker refuses traffic before
-	// letting one half-open probe through (0 = 100ms). BreakerLatency is
-	// the EWMA threshold for the latency-outlier trip (0 = Timeout/4).
-	BreakerCooldown time.Duration
-	BreakerLatency  time.Duration
-
 	// HedgedReads makes quorum reads contact need-1 replicas first and
 	// hedge one extra preference-list replica after a p99-derived delay,
 	// returning at quorum — bounded tail latency without extra
 	// steady-state load. Off, a read merges every reachable replica (the
 	// pre-hedging behaviour).
 	HedgedReads bool
-
-	// Brownout enables degraded reads under overload: while the
-	// admission controller is shedding, an explicit default-level read
-	// whose local snapshot already satisfies its session floor is served
-	// level-one-from-local (counted in Stats.BrownoutServed) instead of
-	// fanning out. Requires MaxInFlight > 0 to ever trigger.
-	Brownout bool
 
 	// Now injects the node's wall clock (nil = time.Now). Used for
 	// suspicion windows, redelivery backoff and dot-issuance stamps; the
@@ -226,12 +205,6 @@ func (c *Config) validate() error {
 	}
 	if c.Engine == storage.EngineTiered && c.DataDir == "" {
 		return errors.New("node: engine=tiered requires DataDir")
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = defaultBreakerCooldown
-	}
-	if c.BreakerLatency <= 0 {
-		c.BreakerLatency = c.Timeout / 4
 	}
 	return nil
 }
@@ -302,20 +275,10 @@ type Stats struct {
 	// zero with admission disabled.
 	Shed          uint64
 	QueueDelayP99 uint64
-	// BreakerOpens counts circuit-breaker trips across peers;
-	// BreakerFastFails the replica RPCs refused while a breaker was
-	// open (each one a timeout not paid); BreakerProbes the half-open
-	// probes sent. Filled from the breaker set at Stats() time.
-	BreakerOpens     uint64
-	BreakerFastFails uint64
-	BreakerProbes    uint64
 	// HedgedReads counts extra replica reads launched after the hedge
 	// delay; HedgeWins those whose reply completed the read quorum.
 	HedgedReads uint64
 	HedgeWins   uint64
-	// BrownoutServed counts default-level reads served degraded (from
-	// the local snapshot) while the admission controller was shedding.
-	BrownoutServed uint64
 
 	// Engine-level store counters, filled from storage.Stats at Stats()
 	// time rather than bump-maintained. Engine names the storage engine;
@@ -343,9 +306,9 @@ type Node struct {
 	// Config.MaxInFlight); nil when admission control is disabled.
 	admit *admission.Controller
 
-	// breakers holds the per-peer circuit breakers and RPC latency
-	// accounting (see breaker.go); always non-nil.
-	breakers *breakerSet
+	// rpcCost accounts every completed replica RPC per peer (see
+	// hedge.go).
+	rpcCost rpcCosts
 
 	// hedgeLat samples replica-read RPC latencies; its p99 derives the
 	// hedged-read delay.
@@ -430,7 +393,6 @@ func New(cfg Config) (*Node, error) {
 		suspect:   make(map[dot.ID]time.Time),
 		hintRetry: make(map[dot.ID]*retryState),
 		departed:  make(map[dot.ID]struct{}),
-		breakers:  newBreakerSet(),
 		done:      make(chan struct{}),
 	}
 	if cfg.MaxInFlight > 0 {
@@ -478,7 +440,6 @@ func (n *Node) Stats() Stats {
 		st.Shed = as.Shed
 		st.QueueDelayP99 = uint64(as.QueueDelayP99)
 	}
-	st.BreakerOpens, st.BreakerFastFails, st.BreakerProbes = n.breakers.totals()
 	return st
 }
 
@@ -637,14 +598,6 @@ func (n *Node) handleGet(ctx context.Context, body []byte) transport.Response {
 		release, aerr := n.admit.Acquire(ctx)
 		if aerr != nil {
 			if errors.Is(aerr, admission.ErrOverload) {
-				// Brownout beats shedding for reads: a degraded local
-				// answer costs almost nothing, while an ErrOverload here
-				// kills a client operation whose expensive half is the
-				// write. Only work the controller actually refused —
-				// quorum fan-out, forwarding, floor waits — sheds.
-				if rr, ok := n.brownoutServe(key, opts); ok {
-					return transport.Response{Body: EncodeReadResult(n.cfg.Mech, rr)}
-				}
 				return fail(fmt.Errorf("%w (node %s)", ErrOverload, n.cfg.ID))
 			}
 			return fail(aerr)
@@ -657,36 +610,6 @@ func (n *Node) handleGet(ctx context.Context, body []byte) transport.Response {
 		return fail(err)
 	}
 	return transport.Response{Body: EncodeReadResult(n.cfg.Mech, rr)}
-}
-
-// brownoutServe attempts the degraded-read escape hatch for a SHED
-// default-level get: the admission controller refused the fan-out, but
-// when this node owns the key and its local snapshot satisfies the
-// session floor, a level-one-from-local answer costs almost nothing and
-// keeps the client's read-modify-write alive through the brownout.
-// Returns false when the read needs work admission just refused — a
-// non-owner forward, a floor wait, or a strict not-found — so those
-// still shed as ErrOverload.
-func (n *Node) brownoutServe(key string, opts ReadOptions) (core.ReadResult, bool) {
-	if !n.cfg.Brownout || opts.Level != LevelDefault || opts.R != 0 {
-		return core.ReadResult{}, false
-	}
-	pref := n.cfg.Ring.Preference(key, n.cfg.N)
-	if !containsID(pref, n.cfg.ID) {
-		return core.ReadResult{}, false
-	}
-	merged, _ := n.store.Snapshot(key)
-	if merged == nil {
-		if !opts.NotFoundOK {
-			return core.ReadResult{}, false
-		}
-		merged = n.cfg.Mech.NewState()
-	}
-	if ok, err := n.floorSatisfied(merged, opts.Session); err != nil || !ok {
-		return core.ReadResult{}, false
-	}
-	n.bump(func(s *Stats) { s.BrownoutServed++ })
-	return n.cfg.Mech.Read(merged), true
 }
 
 // CoordinateGet performs the coordinator-side read: merge replica states
@@ -744,21 +667,6 @@ func (n *Node) CoordinateGet(ctx context.Context, key string, opts ReadOptions) 
 		}
 		waited = true
 		n.bump(func(s *Stats) { s.SessionWaits++ })
-	}
-
-	// Brownout: while the admission controller is shedding, an explicit
-	// default-level read whose local snapshot already satisfies the
-	// session floor is served level-one-from-local — the PR-9 fast path,
-	// applied as a degradation policy. The client sees a success (possibly
-	// staler than a quorum read would be, never older than its session);
-	// the node sheds the fan-out cost that was drowning it. Counted
-	// separately so reports show exactly what degraded.
-	if n.cfg.Brownout && n.admit != nil && opts.Level == LevelDefault && opts.R == 0 &&
-		need > 1 && (anyState || opts.NotFoundOK) && n.admit.Overloaded() {
-		if ok, err := n.floorSatisfied(merged, opts.Session); err == nil && ok {
-			n.bump(func(s *Stats) { s.BrownoutServed++ })
-			return n.cfg.Mech.Read(merged), nil
-		}
 	}
 
 	acks := 1 // local read
@@ -1341,15 +1249,12 @@ func (n *Node) forwardPut(ctx context.Context, to dot.ID, key string, value []by
 // ---------------------------------------------------------------------------
 
 func (n *Node) replGet(ctx context.Context, peer dot.ID, key string) (core.State, bool, error) {
-	if berr := n.breakerAllow(peer); berr != nil {
-		return nil, false, berr
-	}
 	start := time.Now()
 	resp, err := n.cfg.Transport.Send(ctx, n.cfg.ID, peer, transport.Request{
 		Method: MethodReplGet, Body: EncodeReplGetRequest(key),
 	})
 	dur := time.Since(start)
-	n.breakerReport(peer, dur, err)
+	n.rpcCost.record(peer, dur)
 	if err != nil {
 		n.noteSendFailure(peer)
 		return nil, false, err
@@ -1423,8 +1328,7 @@ func statsFields(s *Stats) []*uint64 {
 		&s.AETreeRounds, &s.AETreeNodes, &s.SessionWaits, &s.SessionRetries,
 		&s.StoreKeys, &s.CacheBytes, &s.CacheHits, &s.CacheMisses,
 		&s.Spills, &s.Faults, &s.Segments, &s.WALAppends, &s.Checkpoints,
-		&s.Shed, &s.QueueDelayP99, &s.BreakerOpens, &s.BreakerFastFails,
-		&s.BreakerProbes, &s.HedgedReads, &s.HedgeWins, &s.BrownoutServed,
+		&s.Shed, &s.QueueDelayP99, &s.HedgedReads, &s.HedgeWins,
 	}
 }
 

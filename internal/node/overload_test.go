@@ -1,10 +1,9 @@
 package node
 
 // Tests for the overload plane: ErrOverload's wire round trip, the
-// admission controller in the request path, per-peer circuit breakers
-// (open → half-open probe → closed under a transport.Chaos heal), and
-// hedged-read cancellation hygiene (the package TestMain's leak checker
-// gates the drain).
+// admission controller in the request path, hedged reads that skip a
+// suspected peer, and hedged-read cancellation hygiene (the package
+// TestMain's leak checker gates the drain).
 
 import (
 	"context"
@@ -91,113 +90,71 @@ func TestErrOverloadWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndRecovers walks the full breaker state machine over a
-// chaos partition and heal: consecutive failures open it, an open breaker
-// fails fast without paying the timeout, cooldown admits exactly one
-// half-open probe, and the probe's success closes it again.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	const cooldown = 50 * time.Millisecond
-	nodes, chaos, _ := testCluster(t, 2, func(c *Config) {
-		c.N, c.R, c.W = 2, 1, 1
-		c.BreakerFailures = 3
-		c.BreakerCooldown = cooldown
-		c.Timeout = 200 * time.Millisecond
+// TestHedgedReadSkipsSuspectedPeer: a hedged quorum read contacts an
+// unsuspected replica before one that just failed a send, and returns at
+// quorum without hedging; PeerRPC counts the suspected peer's failed
+// send and, after the heal, its completed one.
+func TestHedgedReadSkipsSuspectedPeer(t *testing.T) {
+	nodes, chaos, r := testCluster(t, 3, func(c *Config) {
+		c.N, c.R, c.W = 3, 2, 2
+		c.HedgedReads = true
+		c.SuspicionWindow = time.Minute
 	})
-	n0, n1 := nodes[0], nodes[1]
-	if _, err := n1.Store().Put("k", core.NewDVV().EmptyContext(), []byte("v"), core.WriteInfo{Server: n1.ID(), Client: "c"}); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	probe := func() error {
-		_, _, err := n0.replGet(ctx, n1.ID(), "k")
-		return err
-	}
-	if err := probe(); err != nil {
-		t.Fatalf("healthy replica read: %v", err)
-	}
-
-	// Sever n00 → n01 and fail BreakerFailures consecutive sends.
-	chaos.PartitionOneWay(n0.ID(), n1.ID())
-	for i := 0; i < 3; i++ {
-		if err := probe(); err == nil {
-			t.Fatalf("send %d succeeded through a severed link", i)
-		} else if errors.Is(err, errBreakerOpen) {
-			t.Fatalf("breaker opened after only %d failures", i)
+	const key = "k"
+	co := ownerOf(t, nodes, r, key)
+	for _, n := range nodes {
+		if _, err := n.Store().Put(key, core.NewDVV().EmptyContext(), []byte("v"), core.WriteInfo{Server: co.ID(), Client: "c"}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	st := n0.Stats()
-	if st.BreakerOpens != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1", st.BreakerOpens)
-	}
-	// Open: the next call fails fast with errBreakerOpen, in microseconds
-	// rather than the transport timeout.
-	start := time.Now()
-	if err := probe(); !errors.Is(err, errBreakerOpen) {
-		t.Fatalf("open breaker let the call through: %v", err)
-	}
-	if el := time.Since(start); el > 50*time.Millisecond {
-		t.Fatalf("fast-fail took %v — that is not fast", el)
-	}
-	if st = n0.Stats(); st.BreakerFastFails == 0 {
-		t.Fatal("BreakerFastFails not bumped")
+	// Without suspicion, first would be the read's only primary.
+	peers := withoutID(r.Preference(key, 3), co.ID())
+	first, second := peers[0], peers[1]
+	// A hedge delay no loopback reply exceeds, so the read below never
+	// reaches first through the hedge.
+	for i := 0; i < hedgeMinSamples; i++ {
+		co.hedgeLat.record(co.cfg.Timeout)
 	}
 
-	// Heal the link. Before cooldown the breaker still refuses; after
-	// cooldown exactly one probe goes through and closes it.
-	chaos.HealAll()
-	if err := probe(); !errors.Is(err, errBreakerOpen) {
-		t.Fatalf("breaker ignored its cooldown: %v", err)
-	}
-	time.Sleep(cooldown + 10*time.Millisecond)
-	if err := probe(); err != nil {
-		t.Fatalf("half-open probe failed over a healed link: %v", err)
-	}
-	snap := n0.BreakerPeer(n1.ID())
-	if snap.State != "closed" {
-		t.Fatalf("breaker state after successful probe = %s, want closed", snap.State)
-	}
-	if snap.Probes == 0 {
-		t.Fatal("probe not counted")
-	}
-	if err := probe(); err != nil {
-		t.Fatalf("closed breaker refused traffic: %v", err)
-	}
-	if got := n0.Stats(); got.BreakerProbes != snap.Probes {
-		t.Fatalf("extra probes after close: %d != %d", got.BreakerProbes, snap.Probes)
-	}
-}
-
-// TestBreakerReopensOnFailedProbe: a half-open probe that fails re-opens
-// the breaker for another full cooldown.
-func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	const cooldown = 40 * time.Millisecond
-	nodes, chaos, _ := testCluster(t, 2, func(c *Config) {
-		c.N, c.R, c.W = 2, 1, 1
-		c.BreakerFailures = 2
-		c.BreakerCooldown = cooldown
-		c.Timeout = 200 * time.Millisecond
-	})
-	n0, n1 := nodes[0], nodes[1]
 	ctx := context.Background()
-	probe := func() error {
-		_, _, err := n0.replGet(ctx, n1.ID(), "k")
-		return err
+	chaos.PartitionOneWay(co.ID(), first)
+	if _, _, err := co.replGet(ctx, first, key); err == nil {
+		t.Fatal("send succeeded through a severed link")
 	}
-	chaos.PartitionOneWay(n0.ID(), n1.ID())
-	for i := 0; i < 2; i++ {
-		probe()
+	if !co.Suspected(first) {
+		t.Fatal("failed send did not suspect the peer")
 	}
-	time.Sleep(cooldown + 10*time.Millisecond)
-	// Still partitioned: the probe fails and re-opens immediately.
-	if err := probe(); err == nil || errors.Is(err, errBreakerOpen) {
-		t.Fatalf("expected the probe itself to be sent and fail, got %v", err)
+	if got := co.PeerRPC(first).Sends; got != 1 {
+		t.Fatalf("PeerRPC(%s).Sends = %d after one failed send, want 1", first, got)
 	}
-	if st := n0.Stats(); st.BreakerOpens != 2 {
-		t.Fatalf("BreakerOpens = %d, want 2 (reopened by failed probe)", st.BreakerOpens)
+
+	rr, err := co.CoordinateGet(ctx, key, ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := probe(); !errors.Is(err, errBreakerOpen) {
-		t.Fatalf("breaker not refusing after failed probe: %v", err)
+	if got := sortedVals(rr); len(got) != 1 || got[0] != "v" {
+		t.Fatalf("read = %v, want [v]", got)
+	}
+	if got := co.PeerRPC(first).Sends; got != 1 {
+		t.Fatalf("suspected peer contacted by the read: %d sends, want 1", got)
+	}
+	if got := co.PeerRPC(second).Sends; got != 1 {
+		t.Fatalf("healthy peer sends = %d, want 1", got)
+	}
+	if st := co.Stats(); st.HedgedReads != 0 {
+		t.Fatalf("read hedged %d times; the healthy peer alone makes quorum", st.HedgedReads)
+	}
+
+	chaos.HealAll()
+	if _, _, err := co.replGet(ctx, first, key); err != nil {
+		t.Fatalf("send over a healed link: %v", err)
+	}
+	cost := co.PeerRPC(first)
+	if cost.Sends != 2 || cost.Latency <= 0 || cost.Mean() <= 0 {
+		t.Fatalf("PeerRPC(%s) = %+v, want 2 sends with positive latency", first, cost)
+	}
+	if co.Suspected(first) {
+		t.Fatal("completed send left the peer suspected")
 	}
 }
 

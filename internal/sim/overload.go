@@ -1,6 +1,6 @@
 package sim
 
-// E7 — the overload/brownout experiment. The paper's DVV mechanism keeps
+// E7 — the overload experiment. The paper's DVV mechanism keeps
 // causality metadata constant-size so a store can take heavy concurrent
 // write load without sibling explosion; E7 asks the production-shaped
 // follow-up: what happens when the load exceeds capacity *and* one
@@ -8,14 +8,14 @@ package sim
 // completions — the shape that actually kills services) lambda-controlled
 // load at 1x/2x/4x the measured capacity, with one replica's fsync
 // stalled throughout, run twice: once with the full overload-protection
-// plane (admission control, per-peer circuit breakers, hedged reads,
-// budgeted client retries, brownout reads) and once with the naive
-// configuration (no admission, no breakers, unlimited retries — the
-// pre-PR-10 store). The protected arm must keep goodput and bounded
-// queue delay; the unprotected arm demonstrates the collapse: its tail
-// latency walks to the RPC timeout. Both arms must lose zero
-// acknowledged writes (the E1/E4-style oracle) — overload may cost
-// availability, never durability.
+// plane (admission control, hedged reads, budgeted client retries,
+// client-side ejection of failing coordinators) and once with the naive
+// configuration (no admission, no hedging, no ejection, unlimited
+// retries — the pre-PR-10 store). The protected arm must keep goodput
+// and bounded queue delay; the unprotected arm demonstrates the
+// collapse: its tail latency walks to the RPC timeout. Both arms must
+// lose zero acknowledged writes (the E1/E4-style oracle) — overload may
+// cost availability, never durability.
 
 import (
 	"context"
@@ -29,9 +29,16 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dot"
+	"repro/internal/node"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
+
+// overloadEjectionWindow is how long the protected arm's clients avoid a
+// coordinator that failed them. It is deliberately several RPC-times
+// long: every probe against a still-stalled coordinator pays the full
+// stall, so rapid re-probing would dominate the cost of talking to it.
+const overloadEjectionWindow = 500 * time.Millisecond
 
 // OverloadConfig parameterises E7.
 type OverloadConfig struct {
@@ -76,12 +83,9 @@ type OverloadConfig struct {
 	Timeout time.Duration
 
 	// Protection-plane knobs (protected arm only; see node.Config).
-	MaxInFlight     int
-	QueueTarget     time.Duration
-	BreakerFailures int
-	BreakerLatency  time.Duration
-	BreakerCooldown time.Duration
-	ClientRetries   int
+	MaxInFlight   int
+	QueueTarget   time.Duration
+	ClientRetries int
 
 	Seed        int64
 	Engine      string
@@ -100,10 +104,7 @@ func DefaultOverloadConfig() OverloadConfig {
 	// service time under the detector keeps the experiment I/O-bound —
 	// the regime it is designed to test — instead of benchmarking the
 	// detector itself; the queue target scales with it because a put
-	// legitimately waits a couple of group-commit batches, and so does
-	// the slow-call breaker threshold, because a healthy peer's RPC over
-	// loopback TCP then costs several times more CPU and must not read
-	// as a latency outlier.
+	// legitimately waits a couple of group-commit batches.
 	baseFsync := 2 * time.Millisecond
 	if raceEnabled {
 		baseFsync = 8 * time.Millisecond
@@ -114,10 +115,9 @@ func DefaultOverloadConfig() OverloadConfig {
 		// 8 closed-loop workers over 5 nodes pipeline the cluster without
 		// pushing it past the congestion knee: the probe measures the
 		// sustainable service rate. Probing at saturation instead would
-		// let the protection plane inflate its own acceptance bar — a
-		// saturated probe sheds, brownout then accelerates the probe's
-		// reads, and "capacity" drifts up with exactly the machinery the
-		// load phases are graded against.
+		// let the protection plane inflate its own acceptance bar —
+		// "capacity" would drift with exactly the machinery the load
+		// phases are graded against.
 		ProbeWorkers:   8,
 		ProbeDuration:  500 * time.Millisecond,
 		Multipliers:    []float64{1, 2, 4},
@@ -135,15 +135,9 @@ func DefaultOverloadConfig() OverloadConfig {
 		// leaves room for the group-commit cadence: a put legitimately
 		// waits a couple of BaseFsync batches, and a CoDel target below
 		// that sheds writes the WAL would have absorbed.
-		MaxInFlight:     64,
-		QueueTarget:     10 * baseFsync,
-		BreakerFailures: 5,
-		BreakerLatency:  10 * baseFsync,
-		// Cooldown is deliberately several RPC-times long: every half-open
-		// probe against a still-stalled peer pays the full stall, so rapid
-		// re-probing would dominate the amortised cost of talking to it.
-		BreakerCooldown: 500 * time.Millisecond,
-		ClientRetries:   3,
+		MaxInFlight:   64,
+		QueueTarget:   10 * baseFsync,
+		ClientRetries: 3,
 
 		Seed: 23,
 	}
@@ -163,13 +157,10 @@ type OverloadPhase struct {
 	P50, P99 time.Duration
 
 	// Node-counter deltas over the phase.
-	Shed             uint64
-	QueueDelayP99    time.Duration // max across nodes at phase end
-	BreakerOpens     uint64
-	BreakerFastFails uint64
-	HedgedReads      uint64
-	HedgeWins        uint64
-	BrownoutServed   uint64
+	Shed          uint64
+	QueueDelayP99 time.Duration // max across nodes at phase end
+	HedgedReads   uint64
+	HedgeWins     uint64
 	// Client retry-budget deltas.
 	Retries, RetryDenied uint64
 }
@@ -186,11 +177,10 @@ type OverloadResult struct {
 	// Stalls proves the fsync fault fired; PendingHints must drain to 0.
 	Stalls       uint64
 	PendingHints int
-	// VictimRPCCost is the mean cost peers paid per replica-RPC attempt
-	// to the stalled victim, amortising breaker fast-fails: latency sum
-	// over completed sends divided by (sends + fast-fails). With
-	// breakers this sits far below the RPC timeout; without, each
-	// attempt pays the stall (or the timeout).
+	// VictimRPCCost is the mean wall time of the peers' completed
+	// replica-RPC sends to the stalled victim. A send that waits out the
+	// stall costs most of an RPC timeout, so a low mean shows the
+	// protected arm's traffic mostly avoided it.
 	VictimRPCCost time.Duration
 	// Retry totals across the whole arm (issued = first attempts).
 	Issued, Retries, RetryDenied uint64
@@ -208,8 +198,8 @@ func (r *OverloadResult) phase(mult float64) *OverloadPhase {
 
 // Violations evaluates the E7 in-run assertions for this arm and
 // returns a list of human-readable failures (empty = the arm behaved).
-// The protected arm must hold goodput and bounded queue delay at 2x
-// with breakers demonstrably failing fast and retries inside budget;
+// The protected arm must hold goodput and bounded queue delay at 2x,
+// keep the stalled replica cheap to talk to and retries inside budget;
 // the unprotected arm must actually collapse (otherwise the A/B proves
 // nothing); both arms must lose no acked writes.
 func (r *OverloadResult) Violations(cfg OverloadConfig) []string {
@@ -236,18 +226,10 @@ func (r *OverloadResult) Violations(cfg OverloadConfig) []string {
 		if bound := 10 * cfg.QueueTarget; p2.QueueDelayP99 > bound {
 			v = append(v, fmt.Sprintf("2x queue delay p99 %v not bounded (> %v)", p2.QueueDelayP99, bound))
 		}
-		var opens uint64
-		for _, p := range r.Phases {
-			opens += p.BreakerOpens
-		}
-		if opens == 0 {
-			v = append(v, "breakers never opened against the stalled replica")
-		}
-		// "Far below the timeout": the amortised attempt must cost at
-		// most a third of what an unprotected attempt risks paying. The
-		// mean mixes cheap reads (the stall only hurts the victim's WAL
-		// path) with expensive replication batches, so it is not zero
-		// even with breakers mostly open.
+		// "Far below the timeout": the mean send must cost at most a
+		// third of what an unprotected attempt risks paying. The mean
+		// mixes cheap reads (the stall only hurts the victim's WAL path)
+		// with expensive replication batches that wait out the stall.
 		if r.VictimRPCCost > timeout/3 {
 			v = append(v, fmt.Sprintf("mean RPC cost to stalled peer %v not << timeout %v", r.VictimRPCCost, timeout))
 		}
@@ -284,7 +266,7 @@ func RunOverload(cfg OverloadConfig) ([]OverloadResult, *stats.Table, error) {
 		fmt.Sprintf("E7 — overload (seed %d): open-loop λ at 1x/2x/4x measured capacity (%.0f op/s), one fsync-stalled replica (%v), protected vs unprotected",
 			cfg.Seed, prot.CapacityPerSec, cfg.FsyncStall),
 		"config", "λ", "offered/s", "goodput/s", "p50", "p99", "shed", "gen-drop", "queue-p99",
-		"brk-open", "brk-fastfail", "hedged", "hedge-wins", "brownout", "retries", "denied", "lost", "verdict")
+		"hedged", "hedge-wins", "retries", "denied", "lost", "verdict")
 	for _, r := range results {
 		name := "unprotected"
 		if r.Protected {
@@ -308,8 +290,7 @@ func RunOverload(cfg OverloadConfig) ([]OverloadResult, *stats.Table, error) {
 				fmt.Sprintf("%.0f", p.GoodputPerSec),
 				p.P50.Round(time.Microsecond*10), p.P99.Round(time.Microsecond*10),
 				p.Shed, p.GenDropped, p.QueueDelayP99.Round(time.Microsecond*10),
-				p.BreakerOpens, p.BreakerFastFails, p.HedgedReads, p.HedgeWins,
-				p.BrownoutServed, p.Retries, p.RetryDenied, r.Lost, verdict)
+				p.HedgedReads, p.HedgeWins, p.Retries, p.RetryDenied, r.Lost, verdict)
 		}
 	}
 	return results, t, nil
@@ -318,8 +299,7 @@ func RunOverload(cfg OverloadConfig) ([]OverloadResult, *stats.Table, error) {
 // overloadCounters is the per-arm snapshot of every node counter the
 // phases report deltas of.
 type overloadCounters struct {
-	shed, opens, fastFails, hedged, hedgeWins, brownout uint64
-	retries, denied                                     uint64
+	shed, hedged, hedgeWins, retries, denied uint64
 }
 
 func snapshotOverload(c *cluster.Cluster) overloadCounters {
@@ -327,11 +307,8 @@ func snapshotOverload(c *cluster.Cluster) overloadCounters {
 	for _, n := range c.Nodes {
 		st := n.Stats()
 		s.shed += st.Shed
-		s.opens += st.BreakerOpens
-		s.fastFails += st.BreakerFastFails
 		s.hedged += st.HedgedReads
 		s.hedgeWins += st.HedgeWins
-		s.brownout += st.BrownoutServed
 	}
 	rs := c.RetryStats()
 	s.retries, s.denied = rs.Retries, rs.Denied
@@ -359,22 +336,16 @@ func runOverloadArm(cfg OverloadConfig, protected bool, capacity float64) (Overl
 	if protected {
 		ccfg.MaxInFlight = cfg.MaxInFlight
 		ccfg.QueueTarget = cfg.QueueTarget
-		ccfg.BreakerFailures = cfg.BreakerFailures
-		ccfg.BreakerLatency = cfg.BreakerLatency
-		ccfg.BreakerCooldown = cfg.BreakerCooldown
 		ccfg.HedgedReads = true
-		ccfg.Brownout = true
 		ccfg.RetryBudget = 0.1
-		// Client-side outlier ejection, the client dual of the server
-		// breakers: with RouteOwner the victim owns a share of every
-		// preference list, and without ejection each client rediscovers
-		// the stall once per op — more victim-bound ops than a 10%
-		// retry budget can rescue. The window matches the breaker
-		// cooldown so both planes probe recovery on the same cadence.
-		ccfg.ClientEjection = cfg.BreakerCooldown
+		// Client-side outlier ejection: with RouteOwner the victim owns
+		// a share of every preference list, and without ejection each
+		// client rediscovers the stall once per op — more victim-bound
+		// ops than a 10% retry budget can rescue.
+		ccfg.ClientEjection = overloadEjectionWindow
 	} else {
-		// The pre-PR-10 shape: nothing sheds, nothing breaks the
-		// circuit, and clients retry without a budget — the overload
+		// The pre-PR-10 shape: nothing sheds, nothing steers around the
+		// stall, and clients retry without a budget — the overload
 		// amplifier the protected arm exists to contrast.
 		ccfg.RetryBudget = -1
 	}
@@ -552,41 +523,33 @@ func runOverloadArm(cfg OverloadConfig, protected bool, capacity float64) (Overl
 		// (the drain tail after the last arrival is not extra offered
 		// time).
 		res.Phases = append(res.Phases, OverloadPhase{
-			Multiplier:       mult,
-			Launched:         launched,
-			GenDropped:       dropped,
-			Acked:            acked,
-			GoodputPerSec:    float64(acked) / cfg.PhaseDuration.Seconds(),
-			P50:              pct(0.50),
-			P99:              pct(0.99),
-			Shed:             after.shed - before.shed,
-			QueueDelayP99:    qp99,
-			BreakerOpens:     after.opens - before.opens,
-			BreakerFastFails: after.fastFails - before.fastFails,
-			HedgedReads:      after.hedged - before.hedged,
-			HedgeWins:        after.hedgeWins - before.hedgeWins,
-			BrownoutServed:   after.brownout - before.brownout,
-			Retries:          after.retries - before.retries,
-			RetryDenied:      after.denied - before.denied,
+			Multiplier:    mult,
+			Launched:      launched,
+			GenDropped:    dropped,
+			Acked:         acked,
+			GoodputPerSec: float64(acked) / cfg.PhaseDuration.Seconds(),
+			P50:           pct(0.50),
+			P99:           pct(0.99),
+			Shed:          after.shed - before.shed,
+			QueueDelayP99: qp99,
+			HedgedReads:   after.hedged - before.hedged,
+			HedgeWins:     after.hedgeWins - before.hedgeWins,
+			Retries:       after.retries - before.retries,
+			RetryDenied:   after.denied - before.denied,
 		})
 	}
 
-	// The victim's amortised replica-RPC cost, as seen by its peers:
-	// completed-send latency spread over every attempt including breaker
-	// fast-fails (which cost microseconds, not a timeout).
-	var costSum time.Duration
-	var attempts uint64
+	// The victim's mean replica-RPC cost, as seen by its peers.
+	var cost node.RPCCost
 	for _, n := range c.Nodes {
 		if n.ID() == victimID {
 			continue
 		}
-		snap := n.BreakerPeer(victimID)
-		costSum += snap.MeanRPC * time.Duration(snap.RPCs)
-		attempts += snap.RPCs + snap.FastFails
+		pc := n.PeerRPC(victimID)
+		cost.Sends += pc.Sends
+		cost.Latency += pc.Latency
 	}
-	if attempts > 0 {
-		res.VictimRPCCost = costSum / time.Duration(attempts)
-	}
+	res.VictimRPCCost = cost.Mean()
 	res.Stalls = faults.Stats().Stalls
 
 	// Heal and quiesce: clear every stall, drain hints, anti-entropy
