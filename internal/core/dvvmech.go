@@ -27,17 +27,6 @@ func NewDVV() Mechanism { return dvvMech{} }
 func (dvvMech) Name() string    { return "dvv" }
 func (dvvMech) NewState() State { return DVVState(nil) }
 
-func (dvvMech) CloneState(s State) State {
-	st := mustState[DVVState]("dvv", s)
-	out := make(DVVState, len(st))
-	for i, v := range st {
-		val := make([]byte, len(v.Value))
-		copy(val, v.Value)
-		out[i] = DVVVersion{Value: val, Clock: v.Clock.Clone()}
-	}
-	return out
-}
-
 func (dvvMech) EmptyContext() Context { return vv.New() }
 
 func (dvvMech) JoinContexts(a, b Context) (Context, error) {

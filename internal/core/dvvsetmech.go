@@ -19,10 +19,6 @@ func (dvvsetMech) Name() string { return "dvvset" }
 
 func (dvvsetMech) NewState() State { return dvvset.New[[]byte]() }
 
-func (dvvsetMech) CloneState(s State) State {
-	return mustState[*dvvset.Set[[]byte]]("dvvset", s).Clone()
-}
-
 func (dvvsetMech) EmptyContext() Context { return vv.New() }
 
 func (dvvsetMech) JoinContexts(a, b Context) (Context, error) {

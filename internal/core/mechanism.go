@@ -68,6 +68,14 @@ var ErrBadContext = errors.New("core: context type does not match mechanism")
 // Mechanism is a causality-tracking scheme. Implementations are stateless
 // (all per-key state lives in State values), so a single Mechanism value is
 // safe for concurrent use by any number of replicas.
+//
+// A State is immutable once a mechanism returns it: Put and Sync build
+// their result without writing to any input (they may share unchanged
+// versions, values and clocks with their inputs), and no caller mutates a
+// state or the values Read returns from it. So one state can be read,
+// encoded and merged by any number of goroutines while a newer one is
+// installed in its place — the storage engines hand out their installed
+// state without copying it.
 type Mechanism interface {
 	// Name identifies the mechanism in tables and CLI flags.
 	Name() string
@@ -75,16 +83,14 @@ type Mechanism interface {
 	// NewState returns the empty per-key state.
 	NewState() State
 
-	// CloneState returns a deep copy, safe to mutate independently.
-	CloneState(State) State
-
 	// Read returns the current sibling values and the causal context a
-	// client must present to overwrite them.
+	// client must present to overwrite them. The values are the state's
+	// own slices, not copies.
 	Read(State) ReadResult
 
 	// Put applies a client write: siblings covered by ctx are discarded,
 	// the new value is tagged and retained alongside surviving concurrent
-	// siblings. Returns the new state.
+	// siblings. Returns the new state; st is not modified.
 	Put(st State, ctx Context, value []byte, w WriteInfo) (State, error)
 
 	// Sync merges two replica states of the same key (anti-entropy /

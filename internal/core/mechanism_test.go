@@ -248,19 +248,78 @@ func TestForeignStatePanics(t *testing.T) {
 	m.Read(VVState(nil)) // a clientvv-shaped state handed to dvv
 }
 
-func TestCloneStateIndependence(t *testing.T) {
-	for _, m := range all() {
+// TestMechanismsArePure pins the contract the storage engines rely on to
+// hand out their installed states without copying them: Put (with a
+// fresh, a stale and a dominated context) and Sync leave every input
+// state and context byte-for-byte as it was.
+func TestMechanismsArePure(t *testing.T) {
+	for _, m := range append(all(), NewPrunedClientVV(1)) {
 		t.Run(m.Name(), func(t *testing.T) {
-			st := m.NewState()
-			st, _ = m.Put(st, m.EmptyContext(), []byte("v1"), WriteInfo{Server: "S1", Client: "c1"})
-			cp := m.CloneState(st)
-			// Mutating the clone must not affect the original.
-			cp, _ = m.Put(cp, m.Read(cp).Ctx, []byte("v2"), WriteInfo{Server: "S1", Client: "c1"})
-			if got := valueSet(m, st); !reflect.DeepEqual(got, []string{"v1"}) {
-				t.Fatalf("original mutated: %v", got)
+			// A pruning mechanism only stores tags within its cap, so its
+			// inputs come from the unpruned client-VV mechanism: the wider
+			// tags a peer with a larger cap would send, which give pruning
+			// something to cut.
+			b := m
+			if _, ok := m.(interface{ Cap() int }); ok {
+				b = NewClientVV()
 			}
-			if got := valueSet(m, cp); !reflect.DeepEqual(got, []string{"v2"}) {
-				t.Fatalf("clone wrong: %v", got)
+			put := func(st State, ctx Context, val string, srv, cli dot.ID) State {
+				t.Helper()
+				ns, err := b.Put(st, ctx, []byte(val), WriteInfo{Server: srv, Client: cli})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ns
+			}
+			// Ten clients chain writes through S1, so a VV tag names ten
+			// clients; dominated is the context c5 read before its write.
+			chain := b.NewState()
+			var dominated Context
+			for i := 0; i < 10; i++ {
+				if i == 5 {
+					dominated = b.Read(chain).Ctx
+				}
+				chain = put(chain, b.Read(chain).Ctx, fmt.Sprintf("v%d", i), "S1", dot.ID(fmt.Sprintf("c%d", i)))
+			}
+			stale := b.Read(chain).Ctx
+			st := put(chain, b.EmptyContext(), "rival", "S2", "w")
+			fresh := b.Read(st).Ctx
+			other := put(chain, stale, "other", "S2", "c0")
+
+			states := []State{chain, st, other}
+			ctxs := []Context{dominated, stale, fresh, m.EmptyContext()}
+			encodeInputs := func() [][]byte {
+				out := make([][]byte, 0, len(states)+len(ctxs))
+				for _, x := range states {
+					w := codec.NewWriter(64)
+					m.EncodeState(w, x)
+					out = append(out, w.Bytes())
+				}
+				for _, c := range ctxs {
+					w := codec.NewWriter(64)
+					m.EncodeContext(w, c)
+					out = append(out, w.Bytes())
+				}
+				return out
+			}
+			before := encodeInputs()
+			for _, x := range states {
+				for _, c := range ctxs {
+					for _, cli := range []dot.ID{"c5", "c0", "w"} {
+						if _, err := m.Put(x, c, []byte("new"), WriteInfo{Server: "S1", Client: cli}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, y := range states {
+					m.Sync(x, y)
+				}
+			}
+			after := encodeInputs()
+			for i := range before {
+				if !bytes.Equal(before[i], after[i]) {
+					t.Errorf("input %d changed: %x -> %x", i, before[i], after[i])
+				}
 			}
 		})
 	}

@@ -29,17 +29,6 @@ func NewOracle() Mechanism { return oracleMech{} }
 func (oracleMech) Name() string    { return "oracle" }
 func (oracleMech) NewState() State { return HistState(nil) }
 
-func (oracleMech) CloneState(s State) State {
-	st := mustState[HistState]("oracle", s)
-	out := make(HistState, len(st))
-	for i, v := range st {
-		val := make([]byte, len(v.Value))
-		copy(val, v.Value)
-		out[i] = HistVersion{Value: val, Self: v.Self, H: v.H.Clone()}
-	}
-	return out
-}
-
 func (oracleMech) EmptyContext() Context { return causal.New() }
 
 func (oracleMech) JoinContexts(a, b Context) (Context, error) {

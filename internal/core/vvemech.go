@@ -35,17 +35,6 @@ func NewVVE() Mechanism { return vveMech{} }
 func (vveMech) Name() string    { return "vve" }
 func (vveMech) NewState() State { return VVEState(nil) }
 
-func (vveMech) CloneState(s State) State {
-	st := mustState[VVEState]("vve", s)
-	out := make(VVEState, len(st))
-	for i, v := range st {
-		val := make([]byte, len(v.Value))
-		copy(val, v.Value)
-		out[i] = VVEVersion{Value: val, Self: v.Self, Past: v.Past.Clone()}
-	}
-	return out
-}
-
 func (vveMech) EmptyContext() Context { return vve.New() }
 
 func (vveMech) JoinContexts(a, b Context) (Context, error) {

@@ -25,17 +25,6 @@ type vvKernel struct{ name string }
 
 func (k vvKernel) NewState() State { return VVState(nil) }
 
-func (k vvKernel) CloneState(s State) State {
-	st := mustState[VVState](k.name, s)
-	out := make(VVState, len(st))
-	for i, v := range st {
-		val := make([]byte, len(v.Value))
-		copy(val, v.Value)
-		out[i] = VVVersion{Value: val, Tag: v.Tag.Clone()}
-	}
-	return out
-}
-
 func (k vvKernel) EmptyContext() Context { return vv.New() }
 
 func (k vvKernel) JoinContexts(a, b Context) (Context, error) {
@@ -288,11 +277,14 @@ func (m prunedClientVV) Put(s State, c Context, value []byte, w WriteInfo) (Stat
 	if err != nil {
 		return nil, err
 	}
+	// insertVV returns s itself when the newcomer is dominated, so prune
+	// into a fresh set: the input must stay as it was.
 	st := mustState[VVState](m.name, ns)
-	for i := range st {
-		st[i].Tag = pruneVV(st[i].Tag, m.cap, w.Client)
+	out := make(VVState, len(st))
+	for i, v := range st {
+		out[i] = VVVersion{Value: v.Value, Tag: pruneVV(v.Tag, m.cap, w.Client)}
 	}
-	return st, nil
+	return out, nil
 }
 
 // pruneVV drops the lowest-counter entries beyond cap, never the writing

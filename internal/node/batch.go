@@ -77,11 +77,11 @@ func (b *replBatcher) queue(peer dot.ID) *peerQueue {
 }
 
 // push enqueues one (key, state) for peer and waits for the ack of the
-// frame that carries it. The state must not be mutated by the caller
-// afterwards (all call sites pass snapshots or clones). The context
-// bounds only this caller's wait; the frame itself is sent on a fresh
-// node-timeout budget, so one caller's tight deadline cannot strand the
-// other keys sharing its frame.
+// frame that carries it. The state may be a store's installed state: the
+// flusher encodes it later, which is safe because states are immutable
+// (see core.Mechanism). The context bounds only this caller's wait; the
+// frame itself is sent on a fresh node-timeout budget, so one caller's
+// tight deadline cannot strand the other keys sharing its frame.
 func (b *replBatcher) push(ctx context.Context, peer dot.ID, key string, st core.State) error {
 	it := batchItem{key: key, st: st, done: make(chan error, 1)}
 	q := b.queue(peer)

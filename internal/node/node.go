@@ -625,6 +625,9 @@ func (n *Node) handleGet(ctx context.Context, body []byte) transport.Response {
 // merge round does not reach escalates to awaitFloor: re-read the replicas
 // with backoff until the merged context dominates the floor or the request
 // deadline expires.
+//
+// The returned values may be the local store's own slices (states are
+// shared, not copied; see core.Mechanism): callers must not mutate them.
 func (n *Node) CoordinateGet(ctx context.Context, key string, opts ReadOptions) (core.ReadResult, error) {
 	pref := n.cfg.Ring.Preference(key, n.cfg.N)
 	if len(pref) == 0 {
@@ -920,7 +923,6 @@ func (n *Node) admitBackground(run func(ctx context.Context)) bool {
 // repairAsync pushes the merged state to divergent replicas in the
 // background, through the bounded pool above.
 func (n *Node) repairAsync(key string, merged core.State, peers []dot.ID) {
-	states := n.cfg.Mech.CloneState(merged)
 	n.admitBackground(func(ctx context.Context) {
 		for _, p := range peers {
 			select {
@@ -928,7 +930,7 @@ func (n *Node) repairAsync(key string, merged core.State, peers []dot.ID) {
 				return
 			default:
 			}
-			if err := n.batcher.push(ctx, p, key, states); err == nil {
+			if err := n.batcher.push(ctx, p, key, merged); err == nil {
 				n.bump(func(s *Stats) { s.ReadRepairs++ })
 			}
 		}
@@ -1285,10 +1287,10 @@ func (n *Node) handleReplGet(body []byte) transport.Response {
 	n.bump(func(s *Stats) { s.ReplGets++ })
 	w := getWriter()
 	defer putWriter(w)
-	st, ok := n.store.Snapshot(key)
-	w.Bool(ok)
-	if ok {
-		n.cfg.Mech.EncodeState(w, st)
+	w.Bool(true)
+	if !n.store.EncodeKey(key, w) {
+		w.Truncate(0)
+		w.Bool(false)
 	}
 	return transport.Response{Body: bytes.Clone(w.Bytes())}
 }
@@ -1542,7 +1544,7 @@ func (n *Node) storeHint(peer dot.ID, key string, st core.State) {
 	if prev, ok := perPeer[key]; ok {
 		perPeer[key] = n.cfg.Mech.Sync(prev, st)
 	} else {
-		perPeer[key] = n.cfg.Mech.CloneState(st)
+		perPeer[key] = st
 	}
 	n.stats.HintsStored++
 }

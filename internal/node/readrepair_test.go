@@ -3,11 +3,11 @@ package node
 import (
 	"context"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/ring"
@@ -16,37 +16,23 @@ import (
 )
 
 // raceMech wraps a mechanism to reproduce, deterministically, a client
-// write racing the coordinator's read. When armed, the first CloneState
-// call — the deep copy inside store.Snapshot at the top of CoordinateGet,
-// which runs under the key's shard read lock — starts a concurrent local
-// blind write and keeps the read lock held long enough for that writer to
-// queue on the shard's write lock. RWMutex admits a queued writer before
-// any later reader, so the write is guaranteed to land before anything
-// CoordinateGet reads from the live store afterwards.
+// write racing the coordinator's read. When armed, the first EncodeState
+// call runs a local blind write to completion before it encodes. That
+// call is HashState's encode of the snapshot at the top of CoordinateGet,
+// the hash peers are judged against, so from then on the live store is
+// ahead of the snapshot, as when a write lands between the snapshot and
+// the reply loop.
 type raceMech struct {
 	core.Mechanism
 	armed atomic.Bool
 	put   func()
-	wg    sync.WaitGroup
 }
 
-func (rm *raceMech) CloneState(st core.State) core.State {
-	out := rm.Mechanism.CloneState(st)
+func (rm *raceMech) EncodeState(w *codec.Writer, st core.State) {
 	if rm.armed.CompareAndSwap(true, false) {
-		started := make(chan struct{})
-		rm.wg.Add(1)
-		go func() {
-			defer rm.wg.Done()
-			close(started)
-			rm.put()
-		}()
-		// Wait until the writer goroutine is demonstrably running (its
-		// scheduling delay is the variable part), then give its
-		// straight-line path into the shard's Lock() time to queue.
-		<-started
-		time.Sleep(10 * time.Millisecond)
+		rm.put()
 	}
-	return out
+	rm.Mechanism.EncodeState(w, st)
 }
 
 // TestReadRepairIgnoresOwnConcurrentWrites is the regression test for the
@@ -108,7 +94,6 @@ func TestReadRepairIgnoresOwnConcurrentWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm.wg.Wait()
 	if rm.armed.Load() {
 		t.Fatal("race hook never fired; test is not exercising the window")
 	}

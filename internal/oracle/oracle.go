@@ -145,7 +145,7 @@ func (r *Run) Step(op Op) error {
 		}
 		merged := r.Mech.Sync(r.States[op.Replica], r.States[op.Peer])
 		r.States[op.Replica] = merged
-		r.States[op.Peer] = r.Mech.CloneState(merged)
+		r.States[op.Peer] = merged
 	default:
 		return fmt.Errorf("oracle: unknown op kind %d", op.Kind)
 	}
@@ -187,7 +187,7 @@ func (r *Run) Converge() {
 			for j := i + 1; j < len(r.States); j++ {
 				merged := r.Mech.Sync(r.States[i], r.States[j])
 				r.States[i] = merged
-				r.States[j] = r.Mech.CloneState(merged)
+				r.States[j] = merged
 			}
 		}
 	}

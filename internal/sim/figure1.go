@@ -54,8 +54,9 @@ func RunFigure1() *stats.Table {
 		ctxW1 := m.Read(sA).Ctx
 		sA = put(sA, ctxW1, "w2", "A", "c1")
 		rows[1] = append(rows[1], renderState(sA))
-		// Keep B's snapshot of the pre-race state {w2}.
-		preRace := m.CloneState(sA)
+		// Keep B's snapshot of the pre-race state {w2} (states are
+		// immutable, so the snapshot is sA itself).
+		preRace := sA
 		// Step 2: c2 writes with w1's stale context.
 		sA = put(sA, ctxW1, "w3", "A", "c2")
 		rows[2] = append(rows[2], renderState(sA))

@@ -45,7 +45,8 @@ type Engine interface {
 	Put(key string, ctx core.Context, value []byte, w core.WriteInfo) (core.ReadResult, error)
 	// SyncKey merges a remote state for key into the local one.
 	SyncKey(key string, remote core.State) error
-	// Snapshot returns an independent deep copy of key's state.
+	// Snapshot returns key's current state. It may be the installed state
+	// itself: callers read, encode and merge it but never mutate it.
 	Snapshot(key string) (core.State, bool)
 
 	// Keys returns all keys, sorted.

@@ -6,15 +6,18 @@ package storage
 // implementations can never drift apart on the surface the node consumes.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/antientropy"
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/dot"
 )
 
 // tinyBudget forces the tiered engine to spill almost everything: with
@@ -201,6 +204,106 @@ func TestEngineConformanceSyncKey(t *testing.T) {
 		}
 		if _, ok := e.Get("ghost"); ok || e.Len() != 1 {
 			t.Fatalf("empty merge created a key (len=%d)", e.Len())
+		}
+	})
+}
+
+// TestEngineConformanceSharedStates: Snapshot hands out the installed
+// state itself, so readers encode and read it while writers replace it
+// through Put and SyncKey. Under -race a write to a shared state is a
+// reported race; without it, a snapshot whose encoding changes after it
+// was taken fails the test.
+func TestEngineConformanceSharedStates(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+		e := open(t, t.TempDir())
+		defer e.Close()
+		m := e.Mechanism()
+		const key = "shared"
+		scratch := New(m)
+		for i := 0; i < 4; i++ {
+			if _, err := scratch.Put(key, m.EmptyContext(), []byte(fmt.Sprintf("remote-%d", i)),
+				core.WriteInfo{Server: "S2", Client: "c9"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		remote, _ := scratch.Snapshot(key)
+		if _, err := e.Put(key, m.EmptyContext(), []byte("seed"), core.WriteInfo{Server: "S1", Client: "c0"}); err != nil {
+			t.Fatal(err)
+		}
+
+		encode := func(st core.State) []byte {
+			w := codec.NewWriter(256)
+			m.EncodeState(w, st)
+			return w.Bytes()
+		}
+		const iters = 300
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(2)
+			go func() { // writer: read-modify-write, plus a replica push every fourth op
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					rr, _ := e.Get(key)
+					if _, err := e.Put(key, rr.Ctx, []byte(fmt.Sprintf("w%d-%d", g, i)),
+						core.WriteInfo{Server: "S1", Client: dot.ID(fmt.Sprintf("c%d", g))}); err != nil {
+						t.Error(err)
+						return
+					}
+					if i%4 == 0 {
+						if err := e.SyncKey(key, remote); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			go func() { // reader: encode and read the shared state
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					st, ok := e.Snapshot(key)
+					if !ok {
+						t.Error("Snapshot lost the key")
+						return
+					}
+					before := encode(st)
+					rr := m.Read(st)
+					if len(rr.Values) != m.Siblings(st) {
+						t.Errorf("Read saw %d values, Siblings %d", len(rr.Values), m.Siblings(st))
+					}
+					runtime.Gosched()
+					if after := encode(st); !bytes.Equal(before, after) {
+						t.Errorf("snapshot changed under a concurrent write: %x -> %x", before, after)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
+var sinkState core.State
+
+// TestReadPathAllocBounds pins the no-copy read path: a hot key's Snapshot
+// returns the installed state itself, so it allocates nothing on either
+// engine, however many siblings the key holds.
+func TestReadPathAllocBounds(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+		e := open(t, t.TempDir())
+		defer e.Close()
+		m := e.Mechanism()
+		const key, siblings = "hot", 8
+		for i := 0; i < siblings; i++ {
+			if _, err := e.Put(key, m.EmptyContext(), []byte(fmt.Sprintf("v%d", i)),
+				core.WriteInfo{Server: "S1", Client: dot.ID(fmt.Sprintf("c%d", i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := e.Siblings(key); got != siblings {
+			t.Fatalf("Siblings = %d, want %d", got, siblings)
+		}
+		if got := testing.AllocsPerRun(100, func() { sinkState, _ = e.Snapshot(key) }); got != 0 {
+			t.Errorf("Snapshot of a hot key: %.1f allocs/op, want 0", got)
 		}
 	})
 }

@@ -119,8 +119,8 @@ func TestShardedStressRace(t *testing.T) {
 				core.WriteInfo{Server: "S1", Client: dot.ID(fmt.Sprintf("c%d", g))})
 		})
 	}
-	worker(4, func(i int, key string) { // replication ingest
-		s.SyncKey(key, m.CloneState(donor))
+	worker(4, func(i int, key string) { // replication ingest of one shared state
+		s.SyncKey(key, donor)
 	})
 	worker(5, func(i int, key string) { // anti-entropy read side
 		_, _ = s.Snapshot(key)

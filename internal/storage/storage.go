@@ -288,8 +288,9 @@ func EncodeStateEqual(m core.Mechanism, a, b core.State) bool {
 	return same
 }
 
-// Snapshot returns an independent deep copy of key's state and whether the
-// key exists.
+// Snapshot returns key's installed state and whether the key exists. The
+// state is shared, not copied: states are immutable (see core.Mechanism),
+// and a later write installs a new one instead of changing it.
 func (s *Store) Snapshot(key string) (core.State, bool) {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
@@ -298,7 +299,7 @@ func (s *Store) Snapshot(key string) (core.State, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.mech.CloneState(st), true
+	return st, true
 }
 
 // Keys returns all keys, sorted. The listing is assembled shard by shard,

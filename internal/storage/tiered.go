@@ -593,9 +593,10 @@ func (t *Tiered) applyReplay(payload []byte) error {
 	return nil
 }
 
-// Snapshot returns an independent copy of key's state: a deep clone when
-// hot, a fresh decode of the segment copy when cold — deliberately not
-// installed, so anti-entropy walks do not thrash the hot set.
+// Snapshot returns key's state: the installed state itself when hot (states
+// are immutable, see core.Mechanism), a fresh decode of the segment copy
+// when cold — deliberately not installed, so anti-entropy walks do not
+// thrash the hot set.
 func (t *Tiered) Snapshot(key string) (core.State, bool) {
 	sh := t.shardFor(key)
 	sh.mu.Lock()
@@ -605,7 +606,7 @@ func (t *Tiered) Snapshot(key string) (core.State, bool) {
 		return nil, false
 	}
 	if e.st != nil {
-		return t.mech.CloneState(e.st), true
+		return e.st, true
 	}
 	return t.coldState(e), true
 }
