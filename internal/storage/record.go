@@ -13,13 +13,18 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
+
 	"repro/internal/codec"
 	"repro/internal/core"
 )
 
-// encodeRecord appends the canonical (key, state) record payload to w.
-func encodeRecord(m core.Mechanism, w *codec.Writer, key string, st core.State) {
-	w.String(key)
+// encodeRecord appends the canonical (key, state) record payload to w. The
+// key is raw bytes (the tiered engine spills it straight from its arena);
+// BytesField encodes exactly as the String field the WAL writers emit.
+func encodeRecord(m core.Mechanism, w *codec.Writer, key []byte, st core.State) {
+	w.BytesField(key)
 	m.EncodeState(w, st)
 }
 
@@ -43,11 +48,37 @@ func decodeRecord(m core.Mechanism, payload []byte) (string, core.State, error) 
 	return key, st, nil
 }
 
-// recordPayload encodes (key, state) into a pooled writer and returns the
-// writer; the caller must codec.PutPooledWriter it when the bytes are no
-// longer needed.
-func recordPayload(m core.Mechanism, key string, st core.State) *codec.Writer {
-	w := codec.GetPooledWriter()
-	encodeRecord(m, w, key, st)
-	return w
+// splitRecord returns a record payload's key bytes and its state encoding
+// without copying or decoding either — the allocation-free path for callers
+// that compare the key against bytes they already hold or pass the
+// canonical state bytes straight through.
+func splitRecord(payload []byte) (key, state []byte, err error) {
+	n, k := binary.Uvarint(payload)
+	switch {
+	case k == 0:
+		return nil, nil, codec.ErrTruncated
+	case k < 0:
+		return nil, nil, fmt.Errorf("%w: uvarint overflow", codec.ErrCorrupt)
+	case k > 1 && payload[k-1] == 0:
+		return nil, nil, fmt.Errorf("%w: non-minimal uvarint", codec.ErrCorrupt)
+	case n > uint64(len(payload)-k):
+		return nil, nil, codec.ErrTruncated
+	}
+	end := k + int(n)
+	return payload[k:end], payload[end:], nil
+}
+
+// decodeState decodes a state encoding split off by splitRecord, rejecting
+// trailing garbage.
+func decodeState(m core.Mechanism, state []byte) (core.State, error) {
+	r := codec.NewReader(state)
+	st, err := m.DecodeState(r)
+	if err != nil {
+		return nil, err
+	}
+	r.ExpectEOF()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	return st, nil
 }

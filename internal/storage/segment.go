@@ -29,10 +29,11 @@ import (
 const segMaxBytes = 1 << 20 // 1 MiB
 
 // segRef locates one record's payload inside a segment: the coordinates a
-// cold entry keeps in lieu of its state.
+// cold entry keeps in lieu of its state. Field order packs it into 16
+// bytes, a third of every 48-byte index slot.
 type segRef struct {
-	seg uint32 // segment id
 	off int64  // payload offset (just past the frame header)
+	seg uint32 // segment id
 	n   int32  // payload length in bytes
 }
 

@@ -1,9 +1,10 @@
 // The tiered engine: a byte-budgeted hot cache over immutable spill
-// segments. Every key's *index entry* (its name, sizes and segment
-// coordinates) stays in memory, but only the hottest sibling states do —
-// an LRU per shard, bounded so the whole engine holds MemBudget bytes of
-// state while the keyspace on disk is 10-100x larger. Cold reads fault the
-// state back in from its segment; evictions spill dirty states out.
+// segments. Every key's *index slot* (its name, sizes and segment
+// coordinates; pointer-free, see tindex.go) stays in memory, but only the
+// hottest sibling states do — an LRU per shard, bounded so the whole
+// engine holds MemBudget bytes of state while the keyspace on disk is
+// 10-100x larger. Cold reads fault the state back in from its segment;
+// evictions spill dirty states out.
 //
 // Durability keeps PR 4's WAL discipline intact: every mutation appends to
 // the WAL before installing, under the shard lock. Spills deliberately do
@@ -16,8 +17,9 @@
 // Sync(old, new) == new), replays the WAL over that index with fault-in
 // merges, and compacts.
 //
-// Lock order is shard.mu → segments.mu; nothing ever takes them the other
-// way, and no two shard locks are ever held together.
+// Lock order is shard.mu → segments.mu and shard.mu → tbuckets.mu;
+// nothing ever takes them the other way, and no two shard locks are ever
+// held together.
 package storage
 
 import (
@@ -26,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -34,70 +35,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 )
-
-// tentry is one key's index entry. The key and accounting fields are
-// always resident; st is nil while the state lives only in a segment.
-// Invariants (under the shard lock): dirty implies st != nil (a state
-// newer than any segment copy is never dropped without a spill), and
-// !dirty implies ref is valid; prev/next link the entry into the shard's
-// LRU exactly when st != nil.
-type tentry struct {
-	key   string
-	st    core.State // nil = cold
-	size  int        // encoded record payload bytes (key + state)
-	meta  int        // mechanism MetadataBytes of the current state
-	hash  uint64     // KeyHash of the current state — resident, so AE never faults
-	dirty bool       // in-memory state newer than ref's segment copy
-	ref   segRef
-	prev  *tentry
-	next  *tentry
-}
-
-// tshard is one lock domain of the tiered engine: the key index plus the
-// LRU of hot entries (head = most recent) and their byte total. buckets
-// indexes the shard's keys by Merkle leaf (append-only; keys are never
-// deleted) for O(members) divergent-bucket listing.
-type tshard struct {
-	mu       sync.Mutex
-	entries  map[string]*tentry
-	buckets  map[int][]string
-	head     *tentry
-	tail     *tentry
-	hotBytes int64
-}
-
-func (sh *tshard) pushFront(e *tentry) {
-	e.prev, e.next = nil, sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-func (sh *tshard) unlink(e *tentry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (sh *tshard) touch(e *tentry) {
-	if sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
-}
 
 // Tiered is the memory-bounded durable engine. It is always durable: a
 // data directory is required, and the same WAL-before-install contract as
@@ -123,8 +60,10 @@ type Tiered struct {
 
 	// tree is the incremental Merkle tree over key-state hashes; with
 	// every entry's hash resident in the index, a diff-free anti-entropy
-	// tick reads the root and touches no segment.
-	tree *antientropy.Tree
+	// tick reads the root and touches no segment. buckets lists each
+	// leaf's keys (see tindex.go).
+	tree    *antientropy.Tree
+	buckets tbuckets
 
 	puts, gets, syncs atomic.Uint64
 	hits, misses      atomic.Uint64
@@ -169,8 +108,7 @@ func openTiered(mech core.Mechanism, o Options) (*Tiered, error) {
 		tree:   antientropy.NewTree(),
 	}
 	for i := range t.shards {
-		t.shards[i].entries = make(map[string]*tentry)
-		t.shards[i].buckets = make(map[int][]string)
+		t.shards[i] = newTShard(uint32(i))
 	}
 
 	lf, err := lockDir(o.Dir)
@@ -205,29 +143,28 @@ func openTiered(mech core.Mechanism, o Options) (*Tiered, error) {
 			if derr != nil {
 				return derr
 			}
-			sh := t.shardFor(key)
-			e := sh.entries[key]
-			existed := e != nil
+			kh := fnv64a(key)
+			sh := t.shard(kh)
+			i := sh.find(key, kh)
+			existed := i >= 0
 			if !existed {
-				e = &tentry{key: key}
-				sh.entries[key] = e
-				t.keyCount.Add(1)
-				b := antientropy.TreeBucketOf(key)
-				sh.buckets[b] = append(sh.buckets[b], key)
+				i = t.newSlot(sh, key, kh)
 			}
+			e := &sh.slots[i]
 			// Hash the record's state bytes (already canonical) so the
 			// index — and through it the Merkle tree — carries every key's
-			// KeyHash without a decode or a later segment read.
-			pr := codec.NewReader(payload)
-			_ = pr.String() // skip the key field
-			h := HashEncoded(payload[len(payload)-pr.Remaining():])
+			// KeyHash without a decode or a later segment read. (The split
+			// cannot fail: decodeRecord just parsed the same payload.)
+			_, stateBytes, _ := splitRecord(payload)
+			h := HashEncoded(stateBytes)
 			t.tree.Update(key, e.hash, existed, h)
 			e.hash = h
-			t.metaBytes.Add(int64(mech.MetadataBytes(st) - e.meta))
-			e.meta = mech.MetadataBytes(st)
-			e.size = len(payload)
+			meta := int32(mech.MetadataBytes(st))
+			t.metaBytes.Add(int64(meta - e.meta))
+			e.meta = meta
+			e.size = int32(len(payload))
 			e.ref = segRef{seg: segID, off: off + walHeaderSize, n: int32(len(payload))}
-			e.st, e.dirty = nil, false // index only; states stay cold
+			e.dirty = false // index only; states stay cold
 			off += walHeaderSize + int64(len(payload))
 			return nil
 		})
@@ -306,80 +243,94 @@ func (t *Tiered) Name() string { return EngineTiered }
 // Mechanism returns the engine's causality mechanism.
 func (t *Tiered) Mechanism() core.Mechanism { return t.mech }
 
-func (t *Tiered) shardFor(key string) *tshard {
-	return &t.shards[fnv64a(key)&t.mask]
+// shard returns the shard owning a key with fnv64a hash kh.
+func (t *Tiered) shard(kh uint64) *tshard {
+	return &t.shards[kh&t.mask]
 }
 
-// faultIn loads e's state from its segment and links it into the LRU.
-// Called with the shard lock held, e cold.
-func (t *Tiered) faultIn(sh *tshard, e *tentry) error {
-	payload, err := t.segs.readAt(e.ref)
+// lookup hashes key once, locks its shard and returns the shard (the
+// caller unlocks it), the hash and the key's slot (-1 if absent).
+func (t *Tiered) lookup(key string) (*tshard, uint64, int32) {
+	kh := fnv64a(key)
+	sh := t.shard(kh)
+	sh.mu.Lock()
+	return sh, kh, sh.find(key, kh)
+}
+
+// readSlot preads and decodes slot i's segment copy, checking that the
+// record names the slot's key — compared against the arena, no string
+// built. Called with the shard lock held.
+func (t *Tiered) readSlot(sh *tshard, i int32) (core.State, error) {
+	payload, err := t.segs.readAt(sh.slots[i].ref)
+	if err != nil {
+		return nil, err
+	}
+	key, state, err := splitRecord(payload)
+	if err == nil && !bytes.Equal(key, sh.key(i)) {
+		err = fmt.Errorf("segment record holds %q (%w)", key, ErrCorruptRecord)
+	}
+	var st core.State
+	if err == nil {
+		st, err = decodeState(t.mech, state)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("storage: fault %q: %w", sh.key(i), err)
+	}
+	t.faults.Add(1)
+	return st, nil
+}
+
+// faultIn loads cold slot i's state from its segment and links it into
+// the LRU. Called with the shard lock held.
+func (t *Tiered) faultIn(sh *tshard, i int32) error {
+	st, err := t.readSlot(sh, i)
 	if err != nil {
 		return err
 	}
-	key, st, err := decodeRecord(t.mech, payload)
-	if err != nil {
-		return fmt.Errorf("storage: fault %q: %w", e.key, err)
-	}
-	if key != e.key {
-		return fmt.Errorf("storage: fault %q: segment record holds %q (%w)", e.key, key, ErrCorruptRecord)
-	}
-	e.st = st
-	sh.pushFront(e)
-	sh.hotBytes += int64(e.size)
-	t.cacheBytes.Add(int64(e.size))
-	t.faults.Add(1)
+	t.admit(sh, i, st)
 	return nil
 }
 
-func (t *Tiered) mustFault(sh *tshard, e *tentry) {
-	if err := t.faultIn(sh, e); err != nil {
+// coldState decodes cold slot i's segment copy WITHOUT installing it —
+// used by whole-store walks (Snapshot for anti-entropy, Siblings) so scans
+// do not thrash the hot set. The returned state is freshly decoded and
+// owned by the caller.
+func (t *Tiered) coldState(sh *tshard, i int32) core.State {
+	st, err := t.readSlot(sh, i)
+	if err != nil {
 		panic(fmt.Sprintf("storage: tiered %s: unrecoverable cold read: %v", t.dir, err))
 	}
+	return st
 }
 
-// coldState decodes e's segment copy WITHOUT installing it — used by
-// whole-store walks (Snapshot for anti-entropy, Siblings) so scans do not
-// thrash the hot set. The returned state is freshly decoded and owned by
-// the caller.
-func (t *Tiered) coldState(e *tentry) core.State {
-	payload, err := t.segs.readAt(e.ref)
-	if err == nil {
-		var st core.State
-		var key string
-		if key, st, err = decodeRecord(t.mech, payload); err == nil && key == e.key {
-			t.faults.Add(1)
-			return st
-		}
-	}
-	panic(fmt.Sprintf("storage: tiered %s: unrecoverable cold read %q: %v", t.dir, e.key, err))
-}
-
-// coldStateBytes returns the canonical state encoding inside e's segment
-// record — the bytes after the key field — without decoding the state.
-func (t *Tiered) coldStateBytes(e *tentry) []byte {
-	payload, err := t.segs.readAt(e.ref)
+// coldStateBytes returns the canonical state encoding inside slot i's
+// segment record — the bytes after the key field — without decoding the
+// state.
+func (t *Tiered) coldStateBytes(sh *tshard, i int32) []byte {
+	payload, err := t.segs.readAt(sh.slots[i].ref)
 	if err != nil {
-		panic(fmt.Sprintf("storage: tiered %s: unrecoverable cold read %q: %v", t.dir, e.key, err))
+		panic(fmt.Sprintf("storage: tiered %s: unrecoverable cold read %q: %v", t.dir, sh.key(i), err))
 	}
-	r := codec.NewReader(payload)
-	_ = r.String() // skip the key field
-	if r.Err() != nil {
-		panic(fmt.Sprintf("storage: tiered %s: corrupt segment record %q: %v", t.dir, e.key, r.Err()))
+	_, state, err := splitRecord(payload)
+	if err != nil {
+		panic(fmt.Sprintf("storage: tiered %s: corrupt segment record %q: %v", t.dir, sh.key(i), err))
 	}
 	t.faults.Add(1)
-	return payload[len(payload)-r.Remaining():]
+	return state
 }
 
-// spill writes e's state to the active segment and marks it clean. Called
-// with the shard lock held, e hot and dirty. No fsync — see segments.write.
-func (t *Tiered) spill(e *tentry) error {
-	w := recordPayload(t.mech, e.key, e.st)
+// spill writes slot i's state to the active segment and marks it clean.
+// Called with the shard lock held, the slot hot and dirty. No fsync — see
+// segments.write.
+func (t *Tiered) spill(sh *tshard, i int32) error {
+	w := codec.GetPooledWriter()
+	encodeRecord(t.mech, w, sh.key(i), sh.state(i))
 	ref, err := t.segs.write(w.Bytes())
 	codec.PutPooledWriter(w)
 	if err != nil {
 		return err
 	}
+	e := &sh.slots[i]
 	e.ref = ref
 	e.dirty = false
 	t.spills.Add(1)
@@ -387,79 +338,87 @@ func (t *Tiered) spill(e *tentry) error {
 }
 
 // evict drops cold-eligible LRU tails until the shard is back under its
-// byte budget, spilling dirty states first. keep (the entry just touched)
+// byte budget, spilling dirty states first. keep (the slot just touched)
 // is never evicted, so a single state larger than the whole budget still
 // works. A spill failure is unrecoverable I/O on the data directory
 // (the WAL on the same disk would fail next): panic rather than let the
 // hot set silently grow past its budget.
-func (t *Tiered) evict(sh *tshard, keep *tentry) {
+func (t *Tiered) evict(sh *tshard, keep int32) {
 	for sh.hotBytes > t.budget {
-		e := sh.tail
-		if e == nil || e == keep {
+		h := sh.hot[0].prev
+		if h == 0 {
 			return
 		}
-		if e.dirty {
-			if err := t.spill(e); err != nil {
-				panic(fmt.Sprintf("storage: tiered %s: spill %q: %v", t.dir, e.key, err))
+		i := sh.hot[h].slot
+		if i == keep {
+			return
+		}
+		if sh.slots[i].dirty {
+			if err := t.spill(sh, i); err != nil {
+				panic(fmt.Sprintf("storage: tiered %s: spill %q: %v", t.dir, sh.key(i), err))
 			}
 		}
-		e.st = nil
-		sh.unlink(e)
-		sh.hotBytes -= int64(e.size)
-		t.cacheBytes.Add(-int64(e.size))
+		t.drop(sh, i)
 	}
 }
 
 // installHot makes st the key's current state: hot, dirty, front of the
-// LRU, all counters plus the Merkle tree in step. Called with the shard
-// lock held; size is the encoded record payload length and hash the
-// state's KeyHash (both already computed by every caller for the WAL
-// append). Returns the entry for the evict(keep) call.
-func (t *Tiered) installHot(sh *tshard, key string, st core.State, size, meta int, hash uint64) *tentry {
-	e := sh.entries[key]
-	if e == nil {
-		e = &tentry{key: key}
-		sh.entries[key] = e
-		t.keyCount.Add(1)
-		b := antientropy.TreeBucketOf(key)
-		sh.buckets[b] = append(sh.buckets[b], key)
+// LRU, all counters plus the Merkle tree in step. i is the key's slot, or
+// -1 to create one under index hash kh. Called with the shard lock held;
+// size is the encoded record payload length and hash the state's KeyHash
+// (both already computed by every caller for the WAL append). Returns the
+// slot for the evict(keep) call.
+func (t *Tiered) installHot(sh *tshard, i int32, key string, kh uint64, st core.State, size, meta int, hash uint64) int32 {
+	if i < 0 {
+		i = t.newSlot(sh, key, kh)
 		t.tree.Update(key, 0, false, hash)
 	} else {
-		t.tree.Update(key, e.hash, true, hash)
-		if e.st != nil {
-			sh.unlink(e)
-			sh.hotBytes -= int64(e.size)
-			t.cacheBytes.Add(-int64(e.size))
+		t.tree.Update(key, sh.slots[i].hash, true, hash)
+	}
+	e := &sh.slots[i]
+	if e.hot != 0 {
+		t.drop(sh, i)
+	}
+	t.metaBytes.Add(int64(meta) - int64(e.meta))
+	e.size, e.meta, e.hash, e.dirty = int32(size), int32(meta), hash, true
+	t.admit(sh, i, st)
+	return i
+}
+
+// current returns slot i's state for a mutation, faulting it in when cold
+// (a fresh state for i < 0). Called with the shard lock held.
+func (t *Tiered) current(sh *tshard, i int32) (core.State, error) {
+	if i < 0 {
+		return t.mech.NewState(), nil
+	}
+	if sh.slots[i].hot == 0 {
+		if err := t.faultIn(sh, i); err != nil {
+			return nil, err
 		}
 	}
-	t.metaBytes.Add(int64(meta - e.meta))
-	e.st, e.size, e.meta, e.hash, e.dirty = st, size, meta, hash, true
-	sh.pushFront(e)
-	sh.hotBytes += int64(size)
-	t.cacheBytes.Add(int64(size))
-	return e
+	return sh.state(i), nil
 }
 
 // Get returns the sibling values and causal context for key, faulting the
 // state in from its segment if cold.
 func (t *Tiered) Get(key string) (core.ReadResult, bool) {
 	t.gets.Add(1)
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, _, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	if e == nil {
+	if i < 0 {
 		return core.ReadResult{Ctx: t.mech.EmptyContext()}, false
 	}
-	if e.st != nil {
+	if h := sh.slots[i].hot; h != 0 {
 		t.hits.Add(1)
-		sh.touch(e)
+		sh.touch(h)
 	} else {
 		t.misses.Add(1)
-		t.mustFault(sh, e)
-		t.evict(sh, e)
+		if err := t.faultIn(sh, i); err != nil {
+			panic(fmt.Sprintf("storage: tiered %s: unrecoverable cold read: %v", t.dir, err))
+		}
+		t.evict(sh, i)
 	}
-	return t.mech.Read(e.st), true
+	return t.mech.Read(sh.state(i)), true
 }
 
 // Put applies a client write to key. Same contract as the memory engine:
@@ -467,20 +426,11 @@ func (t *Tiered) Get(key string) (core.ReadResult, bool) {
 // lock, so a nil return means durable and an error leaves memory (and the
 // dot counters a recovered replica re-mints from) untouched.
 func (t *Tiered) Put(key string, ctx core.Context, value []byte, w core.WriteInfo) (core.ReadResult, error) {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, kh, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	var st core.State
-	if e == nil {
-		st = t.mech.NewState()
-	} else {
-		if e.st == nil {
-			if err := t.faultIn(sh, e); err != nil {
-				return core.ReadResult{}, fmt.Errorf("storage: put %q: %w", key, err)
-			}
-		}
-		st = e.st
+	st, err := t.current(sh, i)
+	if err != nil {
+		return core.ReadResult{}, fmt.Errorf("storage: put %q: %w", key, err)
 	}
 	ns, err := t.mech.Put(st, ctx, value, w)
 	if err != nil {
@@ -498,7 +448,7 @@ func (t *Tiered) Put(key string, ctx core.Context, value []byte, w core.WriteInf
 	t.walAppends.Add(1)
 	size := pw.Len()
 	codec.PutPooledWriter(pw)
-	kept := t.installHot(sh, key, ns, size, t.mech.MetadataBytes(ns), hash)
+	kept := t.installHot(sh, i, key, kh, ns, size, t.mech.MetadataBytes(ns), hash)
 	t.evict(sh, kept)
 	t.puts.Add(1)
 	return t.mech.Read(ns), nil
@@ -509,24 +459,18 @@ func (t *Tiered) Put(key string, ctx core.Context, value []byte, w core.WriteInf
 // skips the WAL append, the install and the dirty bit, so converged
 // anti-entropy rounds do not grow the log or re-spill.
 func (t *Tiered) SyncKey(key string, remote core.State) error {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, kh, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	var st core.State
-	if e == nil {
-		st = t.mech.NewState()
-	} else {
-		if e.st == nil {
-			if err := t.faultIn(sh, e); err != nil {
-				return fmt.Errorf("storage: sync %q: %w", key, err)
-			}
-			t.evict(sh, e)
-		}
-		st = e.st
+	cold := i >= 0 && sh.slots[i].hot == 0
+	st, err := t.current(sh, i)
+	if err != nil {
+		return fmt.Errorf("storage: sync %q: %w", key, err)
+	}
+	if cold {
+		t.evict(sh, i)
 	}
 	merged := t.mech.Sync(st, remote)
-	if e == nil && t.mech.Siblings(merged) == 0 && t.mech.MetadataBytes(merged) == 0 {
+	if i < 0 && t.mech.Siblings(merged) == 0 && t.mech.MetadataBytes(merged) == 0 {
 		return nil // empty merged into absent: must not create the key
 	}
 	w := codec.GetPooledWriter()
@@ -549,7 +493,7 @@ func (t *Tiered) SyncKey(key string, remote core.State) error {
 	t.walAppends.Add(1)
 	size := w.Len()
 	codec.PutPooledWriter(w)
-	kept := t.installHot(sh, key, merged, size, t.mech.MetadataBytes(merged), hash)
+	kept := t.installHot(sh, i, key, kh, merged, size, t.mech.MetadataBytes(merged), hash)
 	t.evict(sh, kept)
 	t.syncs.Add(1)
 	return nil
@@ -563,19 +507,16 @@ func (t *Tiered) applyReplay(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, kh, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
 	size := len(payload)
 	var hash uint64
-	if e != nil {
-		if e.st == nil {
-			if err := t.faultIn(sh, e); err != nil {
-				return err
-			}
+	if i >= 0 {
+		cur, err := t.current(sh, i)
+		if err != nil {
+			return err
 		}
-		st = t.mech.Sync(e.st, st)
+		st = t.mech.Sync(cur, st)
 		w := codec.GetPooledWriter()
 		w.String(key)
 		mark := w.Len()
@@ -584,11 +525,10 @@ func (t *Tiered) applyReplay(payload []byte) error {
 		hash = HashEncoded(w.Bytes()[mark:])
 		codec.PutPooledWriter(w)
 	} else {
-		pr := codec.NewReader(payload)
-		_ = pr.String()
-		hash = HashEncoded(payload[len(payload)-pr.Remaining():])
+		_, stateBytes, _ := splitRecord(payload) // parsed above: cannot fail
+		hash = HashEncoded(stateBytes)
 	}
-	kept := t.installHot(sh, key, st, size, t.mech.MetadataBytes(st), hash)
+	kept := t.installHot(sh, i, key, kh, st, size, t.mech.MetadataBytes(st), hash)
 	t.evict(sh, kept)
 	return nil
 }
@@ -598,33 +538,15 @@ func (t *Tiered) applyReplay(payload []byte) error {
 // when cold — deliberately not installed, so anti-entropy walks do not
 // thrash the hot set.
 func (t *Tiered) Snapshot(key string) (core.State, bool) {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, _, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	if e == nil {
+	if i < 0 {
 		return nil, false
 	}
-	if e.st != nil {
-		return e.st, true
+	if sh.slots[i].hot != 0 {
+		return sh.state(i), true
 	}
-	return t.coldState(e), true
-}
-
-// Keys returns all keys, sorted. The index is fully resident, so this
-// never touches a segment.
-func (t *Tiered) Keys() []string {
-	out := make([]string, 0, t.Len())
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k := range sh.entries {
-			out = append(out, k)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
+	return t.coldState(sh, i), true
 }
 
 // Len returns the number of keys (hot + cold), O(1).
@@ -633,13 +555,12 @@ func (t *Tiered) Len() int { return int(t.keyCount.Load()) }
 // MetadataBytes returns the cached causal-metadata size for key — resident
 // in the index, so no segment read even when cold.
 func (t *Tiered) MetadataBytes(key string) int {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, _, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	if e := sh.entries[key]; e != nil {
-		return e.meta
+	if i < 0 {
+		return 0
 	}
-	return 0
+	return int(sh.slots[i].meta)
 }
 
 // TotalMetadataBytes sums metadata across all keys, O(1).
@@ -648,33 +569,30 @@ func (t *Tiered) TotalMetadataBytes() int { return int(t.metaBytes.Load()) }
 // Siblings returns the sibling count for key (0 if missing), decoding the
 // segment copy without installing it when cold.
 func (t *Tiered) Siblings(key string) int {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, _, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	if e == nil {
+	if i < 0 {
 		return 0
 	}
-	if e.st != nil {
-		return t.mech.Siblings(e.st)
+	if sh.slots[i].hot != 0 {
+		return t.mech.Siblings(sh.state(i))
 	}
-	return t.mech.Siblings(t.coldState(e))
+	return t.mech.Siblings(t.coldState(sh, i))
 }
 
 // KeyHash returns the divergence-detection hash of key's canonical state
-// encoding. The hash is resident in the index entry (maintained at every
+// encoding. The hash is resident in the index slot (maintained at every
 // install and recovery-scan site), so this is O(1) and — critically for
 // anti-entropy over a mostly-cold keyspace — never reads a segment: a
 // diff-free AE tick does zero segment I/O. (It used to pay one segment
 // read per cold key per tick.)
 func (t *Tiered) KeyHash(key string) uint64 {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, _, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	if e := sh.entries[key]; e != nil {
-		return e.hash
+	if i < 0 {
+		return 0
 	}
-	return 0
+	return sh.slots[i].hash
 }
 
 // TreeDigest returns the Merkle tree hash at (level, index); see
@@ -683,35 +601,19 @@ func (t *Tiered) TreeDigest(level, index int) uint64 {
 	return t.tree.Digest(level, index)
 }
 
-// TreeBucketKeys returns the keys in one Merkle leaf bucket, sorted. The
-// bucket index is resident, so no segment I/O.
-func (t *Tiered) TreeBucketKeys(bucket int) []string {
-	var out []string
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.buckets[bucket]...)
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // EncodeKey appends key's canonical state encoding to w; cold keys copy
 // the segment bytes straight through.
 func (t *Tiered) EncodeKey(key string, w *codec.Writer) bool {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	sh, _, i := t.lookup(key)
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	if e == nil {
+	if i < 0 {
 		return false
 	}
-	if e.st != nil {
-		t.mech.EncodeState(w, e.st)
+	if sh.slots[i].hot != 0 {
+		t.mech.EncodeState(w, sh.state(i))
 		return true
 	}
-	w.Append(t.coldStateBytes(e))
+	w.Append(t.coldStateBytes(sh, i))
 	return true
 }
 
@@ -760,15 +662,16 @@ func (t *Tiered) FailWALAt(offset int64, onCrash func()) {
 func (t *Tiered) InjectFaults(f *Faults) { t.wal.SetFaults(f) }
 
 // flushDirty spills every dirty entry to the active segment, one shard
-// lock at a time — the incremental-checkpoint walk. Spilled entries stay
-// hot; only their dirty bit clears.
+// lock at a time — the incremental-checkpoint walk. Dirty implies hot, so
+// it walks each shard's LRU, O(hot) rather than O(keys). Spilled entries
+// stay hot (the LRU order is untouched); only their dirty bit clears.
 func (t *Tiered) flushDirty() error {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.dirty {
-				if err := t.spill(e); err != nil {
+		for h := sh.hot[0].next; h != 0; h = sh.hot[h].next {
+			if i := sh.hot[h].slot; sh.slots[i].dirty {
+				if err := t.spill(sh, i); err != nil {
 					sh.mu.Unlock()
 					return err
 				}
