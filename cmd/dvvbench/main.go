@@ -54,7 +54,6 @@ func run(args []string) error {
 		ops        = fs.Int("ops", 0, "override operation count (riak)")
 		clients    = fs.Int("clients", 0, "override client count (riak)")
 		nodes      = fs.Int("nodes", 0, "override node count (riak)")
-		shards     = fs.Int("shards", 0, "override storage lock shards per node (riak, 0 = default)")
 		skew       = fs.Duration("skew", 0, "inject ±skew clock offsets across nodes (nemesis)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -123,9 +122,6 @@ func run(args []string) error {
 			if *nodes > 0 {
 				cfg.Nodes = *nodes
 			}
-			if *shards > 0 {
-				cfg.StoreShards = *shards
-			}
 			_, table, err := sim.RunRiak(cfg)
 			if err != nil {
 				return err
@@ -141,9 +137,6 @@ func run(args []string) error {
 			if *clients > 0 {
 				cfg.Clients = *clients
 			}
-			if *shards > 0 {
-				cfg.StoreShards = *shards
-			}
 			_, table, err := sim.RunChurn(cfg)
 			if err != nil {
 				return err
@@ -154,9 +147,6 @@ func run(args []string) error {
 			cfg.Seed = *seed
 			if *clients > 0 {
 				cfg.Clients = *clients
-			}
-			if *shards > 0 {
-				cfg.StoreShards = *shards
 			}
 			_, table, err := sim.RunCrash(cfg)
 			if err != nil {
@@ -204,9 +194,6 @@ func run(args []string) error {
 			if *nodes > 0 {
 				cfg.Nodes = *nodes
 			}
-			if *shards > 0 {
-				cfg.StoreShards = *shards
-			}
 			cfg.ClockSkew = *skew
 			_, table, err := sim.RunNemesis(cfg)
 			if err != nil {
@@ -218,9 +205,6 @@ func run(args []string) error {
 			cfg.Seed = *seed
 			if *nodes > 0 {
 				cfg.Nodes = *nodes
-			}
-			if *shards > 0 {
-				cfg.StoreShards = *shards
 			}
 			_, table, err := sim.RunOverload(cfg)
 			if err != nil {

@@ -96,7 +96,6 @@ func serve(args []string) error {
 		w      = fs.Int("w", 2, "write quorum")
 		ae     = fs.Duration("anti-entropy", 5*time.Second, "anti-entropy interval (0 disables)")
 		mech   = fs.String("mechanism", "dvv", "causality mechanism (dvv|dvvset|clientvv|servervv|oracle)")
-		shards = fs.Int("shards", 0, "storage lock shards, rounded up to a power of two (0 = default)")
 		sloppy = fs.Bool("sloppy", true, "sloppy quorums: unreachable replicas fall back down the ring with a hint")
 		data   = fs.String("data", "", "data directory: persist with a write-ahead log and atomic snapshots, recovering state on restart (empty = in-memory)")
 		fsync  = fs.Bool("fsync", true, "fsync every WAL commit before acking a write (with -data); off trades the unsynced tail for latency")
@@ -139,7 +138,6 @@ func serve(args []string) error {
 		N: *n, R: *r, W: *w,
 		Timeout: 5 * time.Second, ReadRepair: true,
 		AntiEntropyInterval: *ae,
-		StoreShards:         *shards,
 		HintedHandoff:       true,
 		SloppyQuorum:        *sloppy,
 		SuspicionWindow:     2 * time.Second,

@@ -42,9 +42,9 @@
 // linearizable per key; whole-store walks (key listing, metadata
 // accounting, persistence, anti-entropy scans) proceed shard by shard and
 // are per-shard-consistent rather than point-in-time — the anti-entropy
-// protocol reconverges across rounds by construction. The shard count is
-// configurable through node.Config.StoreShards up to the cluster and CLI
-// layers; one shard reproduces the classic single-mutex store.
+// protocol reconverges across rounds by construction. Nodes run
+// storage.DefaultShards shards; one shard reproduces the classic
+// single-mutex store.
 //
 // The cluster is elastic: nodes join and leave at runtime
 // (cluster.AddNode/RemoveNode in-process; member.join/member.leave gossip
@@ -60,8 +60,8 @@
 // coalesces queued frames into single kernel writes, and request
 // deadlines fail requests without tearing the shared connection down.
 // Above it, replica-state pushes — put fan-out, read repair, hints,
-// anti-entropy — coalesce per destination into batched repl.batch frames
-// (node.Config.ReplBatchKeys), cutting messages per acknowledged put by
+// anti-entropy, handoff — coalesce per destination into batched repl.batch
+// frames (node.DefaultReplBatchKeys), cutting messages per acknowledged put by
 // more than half under concurrency. The benchmark ledger in benchmark/
 // measures the whole path over real TCP loopback.
 //

@@ -91,12 +91,12 @@ func TreeBucketOf(key string) int {
 	return int(fnv64(key) % TreeLeaves)
 }
 
-// KeyFold is one key's contribution to its leaf bucket: a hash of
+// keyFold is one key's contribution to its leaf bucket: a hash of
 // (key, stateHash) that leaves combine by XOR. Because XOR is commutative
 // and self-inverse, an install updates its bucket incrementally —
-// bucket ^= KeyFold(key, oldHash) ^ KeyFold(key, newHash) — and lands on
+// bucket ^= keyFold(key, oldHash) ^ keyFold(key, newHash) — and lands on
 // exactly the value a from-scratch fold over all keys produces.
-func KeyFold(key string, stateHash uint64) uint64 {
+func keyFold(key string, stateHash uint64) uint64 {
 	return fnvMix(fnv64(key), stateHash)
 }
 
@@ -150,9 +150,9 @@ func (t *Tree) Apply(bucket int, delta uint64) {
 func (t *Tree) Update(key string, oldHash uint64, existed bool, newHash uint64) {
 	var delta uint64
 	if existed {
-		delta = KeyFold(key, oldHash)
+		delta = keyFold(key, oldHash)
 	}
-	delta ^= KeyFold(key, newHash)
+	delta ^= keyFold(key, newHash)
 	t.Apply(TreeBucketOf(key), delta)
 }
 

@@ -59,10 +59,6 @@ type Config struct {
 	// failed send (see node.Config); 0 disables suspicion.
 	SuspicionWindow time.Duration
 
-	// StoreShards is each node's storage lock-shard count; 0 means
-	// storage.DefaultShards.
-	StoreShards int
-
 	// DataRoot enables durable storage: each node persists to
 	// <DataRoot>/<id> with a write-ahead log and atomic snapshots, and a
 	// node restarted via RestartNode recovers its pre-crash state from
@@ -80,10 +76,6 @@ type Config struct {
 	// MemBudget bounds each node's tiered hot cache in bytes
 	// (0 = storage.DefaultMemBudget; ignored by the memory engine).
 	MemBudget int64
-
-	// RepairConcurrency caps each node's background repair goroutines
-	// (see node.Config); 0 means node.DefaultRepairConcurrency.
-	RepairConcurrency int
 
 	// Overload plane (see the matching node.Config fields): admission
 	// control per node (MaxInFlight/QueueTarget) and hedged quorum reads.
@@ -244,10 +236,8 @@ func (c *Cluster) startNode(id dot.ID, seedOffset int64) (*node.Node, error) {
 		ReadRepair:          c.cfg.ReadRepair,
 		HintedHandoff:       c.cfg.HintedHandoff,
 		AntiEntropyInterval: c.cfg.AntiEntropyInterval,
-		StoreShards:         c.cfg.StoreShards,
 		SloppyQuorum:        c.cfg.SloppyQuorum,
 		SuspicionWindow:     c.cfg.SuspicionWindow,
-		RepairConcurrency:   c.cfg.RepairConcurrency,
 		DataDir:             dataDir,
 		Fsync:               c.cfg.Fsync,
 		Engine:              c.cfg.Engine,

@@ -7,12 +7,13 @@ package node
 // fallbacks, read repair, hint redelivery, anti-entropy reconciliation —
 // funnels through one queue per destination peer. Pushes that arrive while
 // a frame to that peer is on the wire coalesce into the next frame, so N
-// concurrent single-key pushes become ceil(N/ReplBatchKeys) repl.batch
-// RPCs instead of N round trips. The frame shape is the Sync-mergeable
-// (key, state)* stream of handoff.batch, and the receiver folds every pair
-// in with Store.SyncKey, so a batch is idempotent and safe to interleave
-// with live writes — exactly the property that makes coalescing correct:
-// merging is order-insensitive and repeat-tolerant.
+// concurrent single-key pushes become ceil(N/DefaultReplBatchKeys)
+// repl.batch RPCs instead of N round trips. Membership handoff sends its
+// key streams in the same frames (HandoffTo). The frame is a Sync-mergeable
+// (key, state)* stream, and the receiver folds every pair in with
+// Store.SyncKey, so a batch is idempotent and safe to interleave with live
+// writes — exactly the property that makes coalescing correct: merging is
+// order-insensitive and repeat-tolerant.
 //
 // An ack covers the whole frame (the handler fails the RPC on the first
 // state it cannot persist), so a caller's push resolves with the fate of
@@ -24,13 +25,15 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/transport"
 )
 
 // DefaultReplBatchKeys bounds how many (key, state) pairs ride in one
-// repl.batch frame (see Config.ReplBatchKeys).
+// repl.batch frame; concurrent pushes to the same peer coalesce up to
+// this bound.
 const DefaultReplBatchKeys = 64
 
 // replBatchSoftBytes is the per-frame byte budget: a frame stops
@@ -130,7 +133,7 @@ func (b *replBatcher) flush(peer dot.ID, q *peerQueue) {
 		q.items = nil
 		q.mu.Unlock()
 		for len(batch) > 0 {
-			sent, err := b.n.sendReplBatch(peer, batch)
+			sent, err := b.n.sendReplBatch(context.Background(), peer, batch)
 			for _, it := range batch[:sent] {
 				it.done <- err
 			}
@@ -152,18 +155,18 @@ func (b *replBatcher) drain(q *peerQueue, err error) {
 }
 
 // sendReplBatch encodes as many leading items as fit one frame (at most
-// ReplBatchKeys pairs, stopping past replBatchSoftBytes) and sends it on
-// a fresh node-timeout budget, with the same RPC-cost and suspicion
-// bookkeeping as replGet. It returns how many items the frame consumed
-// (≥ 1) and the frame's fate.
-func (n *Node) sendReplBatch(peer dot.ID, items []batchItem) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Timeout)
+// DefaultReplBatchKeys pairs, stopping past replBatchSoftBytes) and sends
+// it on a node-timeout budget under ctx, with the same RPC-cost and
+// suspicion bookkeeping as replGet. It returns how many items the frame
+// consumed (≥ 1) and the frame's fate.
+func (n *Node) sendReplBatch(ctx context.Context, peer dot.ID, items []batchItem) (int, error) {
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.Timeout)
 	defer cancel()
 	pw := getWriter() // payload: the (key, state) pairs, no count prefix yet
 	defer putWriter(pw)
 	count := 0
 	for _, it := range items {
-		if count >= n.cfg.ReplBatchKeys {
+		if count >= DefaultReplBatchKeys {
 			break
 		}
 		mark := pw.Len()
@@ -197,4 +200,36 @@ func (n *Node) sendReplBatch(peer dot.ID, items []batchItem) (int, error) {
 		s.BatchedKeys += uint64(count)
 	})
 	return count, nil
+}
+
+// handleReplBatch folds every (key, state) pair of a repl.batch frame into
+// the store with Sync.
+func (n *Node) handleReplBatch(body []byte) transport.Response {
+	r := codec.NewReader(body)
+	count := r.Uvarint()
+	if r.Err() != nil {
+		return fail(r.Err())
+	}
+	if count > uint64(r.Remaining()) {
+		return fail(codec.ErrCorrupt)
+	}
+	for i := uint64(0); i < count; i++ {
+		key := r.String()
+		st, err := n.cfg.Mech.DecodeState(r)
+		if err != nil {
+			return fail(err)
+		}
+		// An ack is a durability promise: coordinators count it toward W
+		// and a handoff sender retires its copy trusting it, so a state
+		// that cannot be persisted must fail the frame.
+		if err := n.store.SyncKey(key, st); err != nil {
+			return fail(err)
+		}
+		n.bump(func(s *Stats) { s.ReplPuts++ })
+	}
+	r.ExpectEOF()
+	if r.Err() != nil {
+		return fail(r.Err())
+	}
+	return transport.Response{}
 }

@@ -130,7 +130,7 @@ type failingTransport struct {
 }
 
 func (f *failingTransport) Send(ctx context.Context, from, to dot.ID, req transport.Request) (transport.Response, error) {
-	if to == f.fail && (req.Method == MethodReplPut || req.Method == MethodReplBatch) {
+	if to == f.fail && (req.Method == MethodReplBatch) {
 		f.mu.Lock()
 		f.failed++
 		f.mu.Unlock()

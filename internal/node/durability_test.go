@@ -100,17 +100,11 @@ func TestRejoinClearsSuspicion(t *testing.T) {
 	}
 }
 
-// TestRepairFanOutBounded: with RepairConcurrency=1 and the single worker
-// slot parked on an unreachable peer, further repairs must be shed and
-// counted instead of stacking goroutines — the regression test for the
-// unbounded repairAsync fan-out.
+// TestRepairFanOutBounded: with every repair slot taken, further repairs
+// must be shed and counted instead of stacking goroutines — the regression
+// test for the unbounded repairAsync fan-out.
 func TestRepairFanOutBounded(t *testing.T) {
-	nodes, chaos, _ := testCluster(t, 2, func(c *Config) {
-		c.R, c.W = 1, 1
-		c.ReadRepair = true
-		c.RepairConcurrency = 1
-		c.Timeout = 400 * time.Millisecond
-	})
+	nodes, _, _ := testCluster(t, 2, func(c *Config) { c.R, c.W = 1, 1 })
 	a, b := nodes[0], nodes[1]
 	m := a.cfg.Mech
 	if _, err := a.store.Put("bounded-key", m.EmptyContext(), []byte("v"),
@@ -119,21 +113,22 @@ func TestRepairFanOutBounded(t *testing.T) {
 	}
 	st, _ := a.store.Snapshot("bounded-key")
 
-	// Park the only worker: its replPut to the cut peer eats the timeout.
-	chaos.Partition(a.ID(), b.ID())
-	a.repairAsync("bounded-key", st, []dot.ID{b.ID()})
-
-	// Give the worker a moment to occupy the slot, then flood: all but
-	// possibly the first extra must be dropped synchronously.
-	time.Sleep(20 * time.Millisecond)
+	if got := cap(a.repairSem); got != repairConcurrency {
+		t.Fatalf("repair pool cap = %d, want %d", got, repairConcurrency)
+	}
+	for i := 0; i < repairConcurrency; i++ {
+		a.repairSem <- struct{}{}
+	}
 	before := a.Stats().RepairsDropped
 	for i := 0; i < 10; i++ {
 		a.repairAsync("bounded-key", st, []dot.ID{b.ID()})
 	}
-	if after := a.Stats().RepairsDropped; after-before < 9 {
-		t.Fatalf("expected ≥9 of 10 repairs dropped with the slot busy, drops went %d -> %d", before, after)
+	if after := a.Stats().RepairsDropped; after-before != 10 {
+		t.Fatalf("want 10 of 10 repairs dropped with the pool full, drops went %d -> %d", before, after)
 	}
-	chaos.HealAll()
+	for i := 0; i < repairConcurrency; i++ {
+		<-a.repairSem
+	}
 }
 
 // TestNodeRestartRecoversDurableState: a node with a DataDir is closed and
@@ -190,9 +185,9 @@ func TestNodeRestartRecoversDurableState(t *testing.T) {
 	}
 }
 
-// TestReplPutAckImpliesDurable: a replica whose WAL has crashed must fail
-// repl.put RPCs rather than ack states it cannot persist.
-func TestReplPutAckImpliesDurable(t *testing.T) {
+// TestReplBatchAckImpliesDurable: a replica whose WAL has crashed must fail
+// repl.batch RPCs rather than ack states it cannot persist.
+func TestReplBatchAckImpliesDurable(t *testing.T) {
 	lb := transport.NewLoopback()
 	t.Cleanup(func() { lb.Close() })
 	r := ring.New(16)
@@ -216,12 +211,13 @@ func TestReplPutAckImpliesDurable(t *testing.T) {
 	crashed := make(chan struct{})
 	nd.Store().FailWALAt(1, func() { close(crashed) }) // tear immediately
 	w := getWriter()
+	w.Uvarint(1)
 	w.String("k")
 	nd.cfg.Mech.EncodeState(w, scratch)
-	resp := nd.Handle(context.Background(), "b", transport.Request{Method: MethodReplPut, Body: append([]byte(nil), w.Bytes()...)})
+	resp := nd.Handle(context.Background(), "b", transport.Request{Method: MethodReplBatch, Body: append([]byte(nil), w.Bytes()...)})
 	putWriter(w)
 	if resp.Err == "" {
-		t.Fatal("repl.put acked a state the store could not persist")
+		t.Fatal("repl.batch acked a state the store could not persist")
 	}
 	select {
 	case <-crashed:

@@ -6,10 +6,11 @@ package node
 // dotted version vectors make safe — causality is tracked per replica
 // *server*, so a key's clock stays valid on whichever server it lands):
 //
-//   - Handoff (MethodHandoff): a batched key/state stream. The sender
-//     snapshots every local key a predicate selects and pushes them to one
-//     destination; the receiver folds each state in with Sync, so handoff
-//     is idempotent and safe to repeat or interleave with live writes.
+//   - Handoff (HandoffTo): a batched key/state stream over repl.batch. The
+//     sender snapshots every local key a predicate selects and pushes them
+//     to one destination; the receiver folds each state in with Sync, so
+//     handoff is idempotent and safe to repeat or interleave with live
+//     writes.
 //   - Join gossip (MethodJoin): a joiner announces itself through any
 //     member; the contacted member adds it to the ring, forwards the
 //     announcement to the other members (one hop), replies with the full
@@ -27,25 +28,20 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/ring"
 	"repro/internal/transport"
 )
 
-// handoffBatchKeys bounds how many key/state pairs ride in one
-// MethodHandoff frame.
-const handoffBatchKeys = 64
-
 // ---------------------------------------------------------------------------
 // Handoff: batched key/state streaming.
 // ---------------------------------------------------------------------------
 
-// HandoffTo streams every local key selected by owns to dest in batches,
-// returning the number of keys sent. The receiver merges each state with
-// Sync, so a concurrent write on either side is never lost — the batch
-// just reflects the sender's snapshot at send time; anti-entropy covers
-// the rest.
+// HandoffTo streams every local key selected by owns to dest in repl.batch
+// frames, returning the number of keys sent. The receiver merges each
+// state with Sync, so a concurrent write on either side is never lost —
+// the batch just reflects the sender's snapshot at send time;
+// anti-entropy covers the rest.
 func (n *Node) HandoffTo(ctx context.Context, dest dot.ID, owns func(key string) bool) (int, error) {
 	var selected []string
 	for _, k := range n.store.Keys() {
@@ -56,78 +52,29 @@ func (n *Node) HandoffTo(ctx context.Context, dest dot.ID, owns func(key string)
 	sort.Strings(selected)
 	sent := 0
 	for len(selected) > 0 {
-		batch := selected
-		if len(batch) > handoffBatchKeys {
-			batch = batch[:handoffBatchKeys]
-		}
+		batch := selected[:min(len(selected), DefaultReplBatchKeys)]
 		selected = selected[len(batch):]
-		// Snapshot states before encoding so the count prefix is exact
-		// (keys may vanish between listing and snapshotting).
-		keys := make([]string, 0, len(batch))
-		states := make([]core.State, 0, len(batch))
+		// Snapshot one frame's worth at a time, skipping keys that
+		// vanished between listing and snapshotting.
+		items := make([]batchItem, 0, len(batch))
 		for _, k := range batch {
 			if st, ok := n.store.Snapshot(k); ok {
-				keys = append(keys, k)
-				states = append(states, st)
+				items = append(items, batchItem{key: k, st: st})
 			}
 		}
-		if len(keys) == 0 {
-			continue
+		for len(items) > 0 {
+			c, err := n.sendReplBatch(ctx, dest, items)
+			if err != nil {
+				return sent, err
+			}
+			items = items[c:]
+			sent += c
+			// Counted per frame so a mid-stream failure still accounts
+			// the keys that did reach the destination.
+			n.bump(func(s *Stats) { s.HandoffKeys += uint64(c) })
 		}
-		w := getWriter()
-		w.Uvarint(uint64(len(keys)))
-		for i, k := range keys {
-			w.String(k)
-			n.cfg.Mech.EncodeState(w, states[i])
-		}
-		resp, err := n.cfg.Transport.Send(ctx, n.cfg.ID, dest, transport.Request{
-			Method: MethodHandoff, Body: w.Bytes(),
-		})
-		putWriter(w)
-		if err != nil {
-			n.noteSendFailure(dest)
-			return sent, err
-		}
-		n.notePeerOK(dest)
-		if aerr := transport.AppError(resp); aerr != nil {
-			return sent, aerr
-		}
-		sent += len(keys)
-		// Counted per batch so a mid-stream failure still accounts the
-		// keys that did reach the destination.
-		n.bump(func(s *Stats) { s.HandoffKeys += uint64(len(keys)) })
 	}
 	return sent, nil
-}
-
-func (n *Node) handleHandoff(body []byte) transport.Response {
-	r := codec.NewReader(body)
-	count := r.Uvarint()
-	if r.Err() != nil {
-		return fail(r.Err())
-	}
-	if count > uint64(r.Remaining()) {
-		return fail(codec.ErrCorrupt)
-	}
-	for i := uint64(0); i < count; i++ {
-		key := r.String()
-		st, err := n.cfg.Mech.DecodeState(r)
-		if err != nil {
-			return fail(err)
-		}
-		// Handoff acks are durability promises like repl.put acks: the
-		// sender retires its copy trusting them, so a state that cannot be
-		// persisted must fail the batch.
-		if err := n.store.SyncKey(key, st); err != nil {
-			return fail(err)
-		}
-		n.bump(func(s *Stats) { s.ReplPuts++ })
-	}
-	r.ExpectEOF()
-	if r.Err() != nil {
-		return fail(r.Err())
-	}
-	return transport.Response{}
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
 //
 // Membership is elastic. A node can join a running cluster (JoinCluster /
 // MethodJoin gossip) or leave it gracefully (Leave / MethodLeave); both
-// trigger the handoff protocol (HandoffTo / MethodHandoff), which streams
-// the re-owned keys to their new owners in Sync-mergeable batches, so a
+// trigger the handoff protocol (HandoffTo), which streams the re-owned
+// keys to their new owners in Sync-mergeable repl.batch frames, so a
 // key can move between servers without losing acknowledged writes or
 // manufacturing false concurrency — safe precisely because dotted version
 // vectors track causality per replica *server*, not per storage location.
@@ -45,16 +45,14 @@ import (
 
 // RPC method names served by a node.
 const (
-	MethodGet       = "get"           // client read
-	MethodPut       = "put"           // client write
-	MethodReplGet   = "repl.get"      // replica state fetch
-	MethodReplPut   = "repl.put"      // replica state push
-	MethodReplBatch = "repl.batch"    // batched replica state push (coalesced fan-out, repair, hints, AE)
-	MethodAETree    = "ae.tree"       // anti-entropy hash-tree walk (see aetree.go)
-	MethodStats     = "stats"         // operational counters
-	MethodHandoff   = "handoff.batch" // membership handoff: batched key/state stream
-	MethodJoin      = "member.join"   // membership gossip: a node joins
-	MethodLeave     = "member.leave"  // membership gossip: a node leaves
+	MethodGet       = "get"          // client read
+	MethodPut       = "put"          // client write
+	MethodReplGet   = "repl.get"     // replica state fetch
+	MethodReplBatch = "repl.batch"   // batched replica state push (fan-out, repair, hints, AE, handoff)
+	MethodAETree    = "ae.tree"      // anti-entropy hash-tree walk (see aetree.go)
+	MethodStats     = "stats"        // operational counters
+	MethodJoin      = "member.join"  // membership gossip: a node joins
+	MethodLeave     = "member.leave" // membership gossip: a node leaves
 )
 
 // Config parameterises a node.
@@ -82,10 +80,6 @@ type Config struct {
 	// a put and redelivers it when the replica comes back (checked on the
 	// anti-entropy tick, or via DeliverHints).
 	HintedHandoff bool
-
-	// StoreShards is the local store's lock-shard count (rounded up to a
-	// power of two); 0 means storage.DefaultShards.
-	StoreShards int
 
 	// SloppyQuorum extends a put's replica set down the ring when a
 	// preference-list member is unreachable: the first healthy fallback
@@ -125,18 +119,6 @@ type Config struct {
 	// causality correctness across crashes require Fsync on.
 	Fsync bool
 
-	// RepairConcurrency caps concurrent background repair/redelivery
-	// goroutines (read repair pushes, post-leave hint re-routing). At the
-	// cap, further repairs are dropped and counted in Stats.RepairsDropped
-	// — anti-entropy reconverges what a dropped repair would have fixed.
-	// 0 means DefaultRepairConcurrency.
-	RepairConcurrency int
-
-	// ReplBatchKeys bounds how many (key, state) pairs one repl.batch
-	// frame carries; concurrent pushes to the same peer coalesce up to
-	// this bound. 0 means DefaultReplBatchKeys.
-	ReplBatchKeys int
-
 	// Addr is the node's advertised network address, carried in membership
 	// gossip so TCP peers learn how to dial a joiner. Empty for in-memory
 	// transports.
@@ -152,11 +134,10 @@ type Config struct {
 	// 0 disables admission control.
 	MaxInFlight int
 
-	// QueueTarget is the admission queue-delay bound (0 = 5ms) and
-	// MaxQueue the waiting-request cap (0 = 4x MaxInFlight); both only
-	// meaningful with MaxInFlight > 0.
+	// QueueTarget is the admission queue-delay bound (0 = 5ms); only
+	// meaningful with MaxInFlight > 0. The waiting-request cap is
+	// admission's 4x MaxInFlight.
 	QueueTarget time.Duration
-	MaxQueue    int
 
 	// HedgedReads makes quorum reads contact need-1 replicas first and
 	// hedge one extra preference-list replica after a p99-derived delay,
@@ -194,26 +175,20 @@ func (c *Config) validate() error {
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
 	}
-	if c.StoreShards < 1 {
-		c.StoreShards = storage.DefaultShards
-	}
-	if c.RepairConcurrency < 1 {
-		c.RepairConcurrency = DefaultRepairConcurrency
-	}
-	if c.ReplBatchKeys < 1 {
-		c.ReplBatchKeys = DefaultReplBatchKeys
-	}
 	if c.Engine == storage.EngineTiered && c.DataDir == "" {
 		return errors.New("node: engine=tiered requires DataDir")
 	}
 	return nil
 }
 
-// DefaultRepairConcurrency bounds background repair goroutines per node: a
+// repairConcurrency caps concurrent background repair/redelivery
+// goroutines per node (read repair pushes, post-leave hint re-routing): a
 // slow or dead peer makes each repair push hang for the full node timeout,
 // and without a cap every divergent read would park another goroutine on
-// it. See Config.RepairConcurrency.
-const DefaultRepairConcurrency = 16
+// it. At the cap, further repairs are dropped and counted in
+// Stats.RepairsDropped — anti-entropy reconverges what a dropped repair
+// would have fixed.
+const repairConcurrency = 16
 
 // Stats are a node's operational counters.
 type Stats struct {
@@ -223,7 +198,7 @@ type Stats struct {
 	QuorumFailures, Forwards    uint64
 	HintsStored, HintsDelivered uint64
 
-	// ReplFailures counts replica RPCs (repl.put during coordinated
+	// ReplFailures counts replica RPCs (repl.batch during coordinated
 	// writes, fallback attempts, repl.get during coordinated reads) that
 	// failed — errors that were previously swallowed in CoordinatePut's
 	// replication goroutines.
@@ -235,7 +210,7 @@ type Stats struct {
 	// membership handoff.
 	HandoffKeys uint64
 	// RepairsDropped counts background repair/redelivery tasks shed
-	// because RepairConcurrency workers were already in flight.
+	// because repairConcurrency workers were already in flight.
 	RepairsDropped uint64
 	// ReplBatches counts repl.batch frames this node sent; BatchedKeys
 	// the (key, state) pairs they carried. BatchedKeys ÷ ReplBatches is
@@ -315,7 +290,7 @@ type Node struct {
 	hedgeLat latencyRing
 
 	// repairSem admits background repair goroutines (read repair,
-	// post-leave hint re-routing) up to Config.RepairConcurrency.
+	// post-leave hint re-routing) up to repairConcurrency.
 	repairSem chan struct{}
 
 	mu    sync.Mutex
@@ -375,19 +350,19 @@ func New(cfg Config) (*Node, error) {
 	if cfg.DataDir != "" {
 		var err error
 		st, err = storage.Open(cfg.Mech, storage.Options{
-			Engine: cfg.Engine, Dir: cfg.DataDir, Shards: cfg.StoreShards,
+			Engine: cfg.Engine, Dir: cfg.DataDir,
 			Fsync: cfg.Fsync, MemBudget: cfg.MemBudget,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("node %s: %w", cfg.ID, err)
 		}
 	} else {
-		st = storage.NewSharded(cfg.Mech, cfg.StoreShards)
+		st = storage.NewSharded(cfg.Mech, storage.DefaultShards)
 	}
 	n := &Node{
 		cfg:       cfg,
 		store:     st,
-		repairSem: make(chan struct{}, cfg.RepairConcurrency),
+		repairSem: make(chan struct{}, repairConcurrency),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		hints:     make(map[dot.ID]map[string]core.State),
 		suspect:   make(map[dot.ID]time.Time),
@@ -398,7 +373,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.MaxInFlight > 0 {
 		n.admit = admission.New(admission.Config{
 			MaxInFlight: cfg.MaxInFlight,
-			MaxQueue:    cfg.MaxQueue,
 			QueueTarget: cfg.QueueTarget,
 		})
 	}
@@ -486,18 +460,12 @@ func (n *Node) Handle(ctx context.Context, from dot.ID, req transport.Request) t
 		return n.handlePut(ctx, from, req.Body)
 	case MethodReplGet:
 		return n.handleReplGet(req.Body)
-	case MethodReplPut:
-		return n.handleReplPut(req.Body)
 	case MethodReplBatch:
-		// Same Sync-mergeable (key, state)* frame and durability promise
-		// as handoff.batch; only the traffic source differs.
-		return n.handleHandoff(req.Body)
+		return n.handleReplBatch(req.Body)
 	case MethodAETree:
 		return n.handleAETree(req.Body)
 	case MethodStats:
 		return n.handleStats()
-	case MethodHandoff:
-		return n.handleHandoff(req.Body)
 	case MethodJoin:
 		return n.handleJoin(req.Body)
 	case MethodLeave:
@@ -1293,26 +1261,6 @@ func (n *Node) handleReplGet(body []byte) transport.Response {
 		w.Bool(false)
 	}
 	return transport.Response{Body: bytes.Clone(w.Bytes())}
-}
-
-func (n *Node) handleReplPut(body []byte) transport.Response {
-	r := codec.NewReader(body)
-	key := r.String()
-	if r.Err() != nil {
-		return fail(r.Err())
-	}
-	st, err := n.cfg.Mech.DecodeState(r)
-	if err != nil {
-		return fail(err)
-	}
-	n.bump(func(s *Stats) { s.ReplPuts++ })
-	// A replica ack is a durability promise: on durable nodes SyncKey
-	// returns only after the merged state is in the WAL, and a failed
-	// append must fail the RPC so the coordinator does not count the ack.
-	if err := n.store.SyncKey(key, st); err != nil {
-		return fail(err)
-	}
-	return transport.Response{}
 }
 
 // statsFields returns a pointer to every uint64 counter of s in the one

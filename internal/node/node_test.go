@@ -348,7 +348,7 @@ func TestUnknownMethod(t *testing.T) {
 func TestHandleGarbageBodies(t *testing.T) {
 	nodes, _, _ := testCluster(t, 1, nil)
 	n := nodes[0]
-	for _, method := range []string{MethodGet, MethodPut, MethodReplGet, MethodReplPut} {
+	for _, method := range []string{MethodGet, MethodPut, MethodReplGet, MethodReplBatch} {
 		resp := n.Handle(context.Background(), "x", transport.Request{Method: method, Body: []byte{0xFF, 0x01, 0x02}})
 		_ = resp // must not panic; error or empty is fine
 	}

@@ -41,7 +41,6 @@ func TestIsOverloadFlattened(t *testing.T) {
 func TestErrOverloadWireRoundTrip(t *testing.T) {
 	nodes, chaos, r := testCluster(t, 3, func(c *Config) {
 		c.MaxInFlight = 1
-		c.MaxQueue = 1
 		c.QueueTarget = time.Millisecond
 	})
 	co := ownerOf(t, nodes, r, "hot")

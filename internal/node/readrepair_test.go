@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/ring"
-	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -112,16 +111,5 @@ func TestReadRepairIgnoresOwnConcurrentWrites(t *testing.T) {
 	final, _ := co.Store().Get(key)
 	if got := sortedVals(final); !reflect.DeepEqual(got, []string{"racer", "v1"}) {
 		t.Fatalf("post-read local state = %v, want [racer v1]", got)
-	}
-}
-
-func TestStoreShardsConfig(t *testing.T) {
-	nodes, _, _ := testCluster(t, 1, func(c *Config) { c.StoreShards = 4 })
-	if got := nodes[0].Store().(*storage.Store).ShardCount(); got != 4 {
-		t.Fatalf("ShardCount = %d, want 4", got)
-	}
-	def, _, _ := testCluster(t, 1, nil)
-	if got := def[0].Store().(*storage.Store).ShardCount(); got != storage.DefaultShards {
-		t.Fatalf("default ShardCount = %d, want %d", got, storage.DefaultShards)
 	}
 }

@@ -31,8 +31,6 @@ type ChurnConfig struct {
 	// SuspicionWindow is the nodes' failure-suspicion window.
 	SuspicionWindow time.Duration
 	Seed            int64
-	// StoreShards is each node's storage lock-shard count (0 = default).
-	StoreShards int
 }
 
 // DefaultChurnConfig is sized to finish in a few seconds including under
@@ -119,7 +117,6 @@ func runChurnOne(cfg ChurnConfig, mech core.Mechanism) (ChurnResult, error) {
 		SuspicionWindow: cfg.SuspicionWindow,
 		Timeout:         5 * time.Second,
 		Seed:            cfg.Seed,
-		StoreShards:     cfg.StoreShards,
 	})
 	if err != nil {
 		return ChurnResult{}, err

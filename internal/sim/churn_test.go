@@ -39,6 +39,10 @@ func TestChurnNoLostAckedWrites(t *testing.T) {
 		if r.Joined == "" || r.Left == "" {
 			t.Fatalf("%s: churn events missing: %+v", r.Mechanism, r)
 		}
+		// Join and leave both stream re-owned keys in repl.batch frames.
+		if r.HandoffKeys == 0 {
+			t.Fatalf("%s: churn moved no keys through handoff", r.Mechanism)
+		}
 	}
 }
 

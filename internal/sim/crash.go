@@ -42,8 +42,6 @@ type CrashConfig struct {
 	// a byte offset with no relation to record boundaries, so the tear
 	// lands anywhere inside a record's frame.
 	CrashJitter int64
-	// StoreShards is each node's storage lock-shard count (0 = default).
-	StoreShards int
 	// Engine selects each node's storage engine ("" = memory); MemBudget
 	// bounds the tiered engine's hot cache, so a small budget forces the
 	// crash to land while most of the acked keyspace is cold on segments.
@@ -151,7 +149,6 @@ func runCrashOne(cfg CrashConfig, mech core.Mechanism) (CrashResult, error) {
 		SuspicionWindow: cfg.SuspicionWindow,
 		Timeout:         2 * time.Second,
 		Seed:            cfg.Seed,
-		StoreShards:     cfg.StoreShards,
 		DataRoot:        dataRoot,
 		Fsync:           cfg.Fsync,
 		Engine:          cfg.Engine,

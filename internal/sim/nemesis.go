@@ -64,11 +64,10 @@ type NemesisConfig struct {
 	// skew variant asserts DVV verdicts stay CLEAN under ±30s.
 	ClockSkew time.Duration
 
-	// StoreShards/Engine as in cluster.Config; the cluster always runs
-	// durable (WAL in the write path) so the fsync stall has a victim.
-	StoreShards int
-	Engine      string
-	Fsync       bool
+	// Engine as in cluster.Config; the cluster always runs durable (WAL
+	// in the write path) so the fsync stall has a victim.
+	Engine string
+	Fsync  bool
 }
 
 // DefaultNemesisConfig is sized to finish in a few seconds under -race.
@@ -284,7 +283,6 @@ func runNemesisOne(cfg NemesisConfig, mech core.Mechanism) (NemesisResult, error
 		SuspicionWindow: cfg.SuspicionWindow,
 		Timeout:         2 * time.Second,
 		Seed:            cfg.Seed,
-		StoreShards:     cfg.StoreShards,
 		DataRoot:        dataRoot,
 		Fsync:           cfg.Fsync,
 		Engine:          cfg.Engine,

@@ -87,9 +87,8 @@ type OverloadConfig struct {
 	QueueTarget   time.Duration
 	ClientRetries int
 
-	Seed        int64
-	Engine      string
-	StoreShards int
+	Seed   int64
+	Engine string
 }
 
 // DefaultOverloadConfig is sized to finish in well under a minute
@@ -327,7 +326,6 @@ func runOverloadArm(cfg OverloadConfig, protected bool, capacity float64) (Overl
 		ReadRepair: true, HintedHandoff: true, SloppyQuorum: true,
 		Timeout:       cfg.Timeout,
 		Seed:          cfg.Seed,
-		StoreShards:   cfg.StoreShards,
 		DataRoot:      dataRoot,
 		Fsync:         true,
 		Engine:        cfg.Engine,

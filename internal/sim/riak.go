@@ -36,8 +36,6 @@ type RiakConfig struct {
 	Jitter  time.Duration
 	PerByte time.Duration
 	Seed    int64
-	// StoreShards is each node's storage lock-shard count (0 = default).
-	StoreShards int
 }
 
 // DefaultRiakConfig matches the harness defaults: an 8-node cluster,
@@ -111,7 +109,6 @@ func runRiakOne(cfg RiakConfig, mech core.Mechanism) (RiakResult, error) {
 	cl, err := cluster.New(cluster.Config{
 		Mech: mech, Nodes: cfg.Nodes, N: cfg.N, R: cfg.R, W: cfg.W,
 		Transport: chaos, Timeout: 10 * time.Second, Seed: cfg.Seed,
-		StoreShards: cfg.StoreShards,
 	})
 	if err != nil {
 		return RiakResult{}, err

@@ -222,12 +222,6 @@ func (s *Store) applyReplay(payload []byte) error {
 	return nil
 }
 
-// Durable reports whether the store persists mutations (was built by Open).
-func (s *Store) Durable() bool { return s.wal != nil }
-
-// Dir returns the data directory ("" for an in-memory store).
-func (s *Store) Dir() string { return s.dir }
-
 // Recovery returns what Open found on disk (zero for in-memory stores).
 func (s *Store) Recovery() RecoveryInfo { return s.recovery }
 

@@ -27,8 +27,8 @@ func TestOpenEmptyDirAndReopen(t *testing.T) {
 	m := core.NewDVV()
 	dir := t.TempDir()
 	s := openTemp(t, m, dir, true)
-	if !s.Durable() || s.Dir() != dir {
-		t.Fatalf("Durable=%v Dir=%q", s.Durable(), s.Dir())
+	if s.wal == nil || s.dir != dir {
+		t.Fatalf("wal=%v dir=%q, want a WAL in %q", s.wal, s.dir, dir)
 	}
 	for i := 0; i < 30; i++ {
 		k := fmt.Sprintf("key-%02d", i)

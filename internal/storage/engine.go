@@ -76,10 +76,6 @@ type Engine interface {
 	// Stats returns a snapshot of the engine's counters.
 	Stats() Stats
 
-	// Durable reports whether the engine persists mutations.
-	Durable() bool
-	// Dir returns the data directory ("" for in-memory engines).
-	Dir() string
 	// Recovery returns what opening found on disk.
 	Recovery() RecoveryInfo
 	// WALSize returns the write-ahead log's logical offset in bytes.

@@ -65,8 +65,11 @@ func TestEngineOpenSelectsKind(t *testing.T) {
 		if e.Name() != kind {
 			t.Fatalf("Name() = %q, want %q", e.Name(), kind)
 		}
-		if !e.Durable() {
-			t.Fatal("engine opened with a dir must be durable")
+		if _, err := e.Put("k", core.NewDVV().EmptyContext(), []byte("v"), core.WriteInfo{Server: "S1", Client: "c1"}); err != nil {
+			t.Fatal(err)
+		}
+		if e.WALSize() == 0 {
+			t.Fatal("engine opened with a dir must log its writes")
 		}
 	})
 }

@@ -161,17 +161,31 @@ func (ss *segments) syncActive() error {
 	return syncDir(ss.dir)
 }
 
+// readScratchMax caps the read buffer a shard keeps between cold reads;
+// a larger record gets a one-off buffer instead of pinning its size.
+const readScratchMax = 64 << 10
+
 // readAt preads and CRC-verifies the payload ref points at. The frame
 // header is re-read alongside so a stale or corrupt ref is caught by the
-// length and checksum rather than decoding garbage.
-func (ss *segments) readAt(ref segRef) ([]byte, error) {
+// length and checksum rather than decoding garbage. The frame is read
+// into *scratch, grown as needed, so the returned payload aliases it and
+// is valid only until the next read through the same scratch.
+func (ss *segments) readAt(ref segRef, scratch *[]byte) ([]byte, error) {
 	ss.mu.Lock()
 	f := ss.files[ref.seg]
 	ss.mu.Unlock()
 	if f == nil {
 		return nil, fmt.Errorf("storage: segment %s: gone", segName(ref.seg))
 	}
-	buf := make([]byte, walHeaderSize+int(ref.n))
+	need := walHeaderSize + int(ref.n)
+	buf := *scratch
+	if cap(buf) < need {
+		buf = make([]byte, need)
+		if need <= readScratchMax {
+			*scratch = buf
+		}
+	}
+	buf = buf[:need]
 	if _, err := f.ReadAt(buf, ref.off-walHeaderSize); err != nil {
 		return nil, fmt.Errorf("storage: segment %s @%d: %w", segName(ref.seg), ref.off, err)
 	}

@@ -261,7 +261,7 @@ func (t *Tiered) lookup(key string) (*tshard, uint64, int32) {
 // record names the slot's key — compared against the arena, no string
 // built. Called with the shard lock held.
 func (t *Tiered) readSlot(sh *tshard, i int32) (core.State, error) {
-	payload, err := t.segs.readAt(sh.slots[i].ref)
+	payload, err := t.segs.readAt(sh.slots[i].ref, &sh.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -305,9 +305,10 @@ func (t *Tiered) coldState(sh *tshard, i int32) core.State {
 
 // coldStateBytes returns the canonical state encoding inside slot i's
 // segment record — the bytes after the key field — without decoding the
-// state.
+// state. The bytes alias the shard's read scratch: copy them before the
+// shard lock is released.
 func (t *Tiered) coldStateBytes(sh *tshard, i int32) []byte {
-	payload, err := t.segs.readAt(sh.slots[i].ref)
+	payload, err := t.segs.readAt(sh.slots[i].ref, &sh.scratch)
 	if err != nil {
 		panic(fmt.Sprintf("storage: tiered %s: unrecoverable cold read %q: %v", t.dir, sh.key(i), err))
 	}
@@ -637,13 +638,6 @@ func (t *Tiered) Stats() Stats {
 	_, _, st.WALSyncs = t.wal.Stats()
 	return st
 }
-
-// Durable reports whether mutations persist — always true: the tiered
-// engine has no in-memory-only mode.
-func (t *Tiered) Durable() bool { return true }
-
-// Dir returns the data directory.
-func (t *Tiered) Dir() string { return t.dir }
 
 // Recovery returns what openTiered found on disk.
 func (t *Tiered) Recovery() RecoveryInfo { return t.recovery }

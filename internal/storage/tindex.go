@@ -65,6 +65,9 @@ type tshard struct {
 	hot      []hotEntry
 	free     int32 // head of the hot slab's free list; 0 = empty
 	hotBytes int64
+	// scratch is the cold-read buffer (see segments.readAt); decoding
+	// copies every byte a state keeps, so it is reused under mu.
+	scratch []byte
 }
 
 func newTShard(id uint32) tshard {

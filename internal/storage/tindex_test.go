@@ -448,7 +448,7 @@ func TestTieredSpillMatchesRecordEncoding(t *testing.T) {
 			sh.mu.Unlock()
 			t.Fatalf("key of length %d still hot or dirty", len(k))
 		}
-		got, err := e.segs.readAt(sh.slots[i].ref)
+		got, err := e.segs.readAt(sh.slots[i].ref, new([]byte))
 		sh.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -544,5 +544,54 @@ func TestTieredIndexConcurrentListing(t *testing.T) {
 	}
 	if e.Len() != writers*puts {
 		t.Fatalf("Len = %d, want %d", e.Len(), writers*puts)
+	}
+}
+
+// TestTieredColdReadReusesScratch: a cold Snapshot reads its segment frame
+// into the shard's scratch buffer instead of a fresh one, and the decoded
+// state owns its bytes — clobbering the scratch after the read leaves the
+// state intact.
+func TestTieredColdReadReusesScratch(t *testing.T) {
+	e := openTieredT(t, t.TempDir(), 1, 1)
+	defer e.Close()
+	m := e.Mechanism()
+	const key = "cold-key"
+	// The second write evicts the first key: the budget holds one state.
+	for _, k := range []string{key, "other"} {
+		if _, err := e.Put(k, m.EmptyContext(), []byte("v"), core.WriteInfo{Server: "S1", Client: "c1"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := &e.shards[0]
+	sh.mu.Lock()
+	hot := sh.slots[sh.find(key, fnv64a(key))].hot
+	sh.mu.Unlock()
+	if hot != 0 {
+		t.Fatal("key still hot under a 1-byte budget")
+	}
+	if got := testing.AllocsPerRun(100, func() { sinkState, _ = e.Snapshot(key) }); got > 4 {
+		t.Errorf("cold Snapshot: %.1f allocs/op, want <= 4", got)
+	}
+
+	st, _ := e.Snapshot(key)
+	want := codec.NewWriter(64)
+	m.EncodeState(want, st)
+	sh.mu.Lock()
+	if len(sh.scratch) == 0 {
+		sh.mu.Unlock()
+		t.Fatal("cold read left no scratch buffer")
+	}
+	buf := sh.scratch[:cap(sh.scratch)]
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	sh.mu.Unlock()
+	got := codec.NewWriter(64)
+	m.EncodeState(got, st)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("state changed when the read scratch was overwritten: %x, was %x", got.Bytes(), want.Bytes())
+	}
+	if vals := m.Read(st).Values; len(vals) != 1 || string(vals[0]) != "v" {
+		t.Fatalf("cold state reads %q, want [v]", vals)
 	}
 }

@@ -83,9 +83,6 @@ func NewChaos(inner Transport, seed int64) *Chaos {
 	}
 }
 
-// Inner returns the wrapped transport.
-func (c *Chaos) Inner() Transport { return c.inner }
-
 // SetDefault installs the rule applied to every directed pair without an
 // explicit SetLink rule.
 func (c *Chaos) SetDefault(f LinkFaults) {

@@ -318,11 +318,6 @@ func (a VV) Descends(b VV) bool {
 	return true
 }
 
-// DominatesStrictly reports a > b (Descends and not equal).
-func (a VV) DominatesStrictly(b VV) bool {
-	return a.Descends(b) && !a.Equal(b)
-}
-
 // Equal reports pointwise equality. Canonical form makes this a direct
 // entry-by-entry comparison.
 func (a VV) Equal(b VV) bool {
