@@ -120,10 +120,14 @@ type Cluster = cluster.Cluster
 // ClusterConfig parameterises NewCluster.
 type ClusterConfig = cluster.Config
 
-// Storage engine names for ClusterConfig.Engine: EngineMemory keeps every
-// key's state resident (optionally durable behind a WAL + snapshots);
+// Residency policies for ClusterConfig.Engine. Without DataRoot nodes keep
+// every key's state in memory whatever the policy. With DataRoot every
+// node runs the durable tiered engine (WAL plus on-disk segments):
+// EngineMemory gives it no byte budget, so nothing is evicted, and
 // EngineTiered bounds resident state to ClusterConfig.MemBudget bytes and
-// spills cold states to on-disk segments (requires DataRoot).
+// spills cold states to segments (requires DataRoot). Either way a
+// restarted node comes back cold: reads serve states from the segments,
+// and a write makes one resident again.
 const (
 	EngineMemory = storage.EngineMemory
 	EngineTiered = storage.EngineTiered

@@ -14,7 +14,7 @@
 //	dvvbench -experiment ablation       # A1: DVV vs DVVSet
 //	dvvbench -experiment churn          # E1: elastic membership under writes
 //	dvvbench -experiment nemesis        # E4: partition convergence under a fault-injecting nemesis
-//	dvvbench -experiment tiered         # D4: bounded-memory tiered engine vs all-memory
+//	dvvbench -experiment tiered         # D4: tiered engine, bounded budget vs none
 //	dvvbench -experiment merkle         # E5: anti-entropy repair cost of the hash-tree walk
 //	dvvbench -experiment sessions       # E6: causal sessions + per-request consistency levels
 //	dvvbench -experiment overload       # E7: open-loop overload + sick replica, protected vs unprotected

@@ -20,9 +20,10 @@
 //
 // With -data DIR the node is durable: acknowledged writes go through a
 // write-ahead log (fsynced per group commit under -fsync, the default),
-// SIGTERM compacts the log into an atomic snapshot, and a restart with
+// SIGTERM checkpoints the log into on-disk segments, and a restart with
 // the same -id and -data recovers the pre-crash state — tolerating a
-// torn log tail from a hard kill — before serving.
+// torn log tail from a hard kill — before serving. States come back cold:
+// reads serve them from the segments, and a write makes one resident.
 package main
 
 import (
@@ -97,9 +98,9 @@ func serve(args []string) error {
 		ae     = fs.Duration("anti-entropy", 5*time.Second, "anti-entropy interval (0 disables)")
 		mech   = fs.String("mechanism", "dvv", "causality mechanism (dvv|dvvset|clientvv|servervv|oracle)")
 		sloppy = fs.Bool("sloppy", true, "sloppy quorums: unreachable replicas fall back down the ring with a hint")
-		data   = fs.String("data", "", "data directory: persist with a write-ahead log and atomic snapshots, recovering state on restart (empty = in-memory)")
+		data   = fs.String("data", "", "data directory: persist with a write-ahead log and spill segments, recovering state on restart (empty = in-memory)")
 		fsync  = fs.Bool("fsync", true, "fsync every WAL commit before acking a write (with -data); off trades the unsynced tail for latency")
-		engine = fs.String("engine", "memory", "storage engine (with -data): memory (whole keyspace resident) or tiered (byte-budgeted hot cache over spill segments)")
+		engine = fs.String("engine", "memory", "residency policy of the on-disk engine (with -data): memory (no byte budget: nothing is evicted) or tiered (byte-budgeted hot cache); after a restart both come back cold: reads serve states from the segments, and a write makes one resident")
 		budget = fs.Int64("mem-budget", 0, "tiered engine hot-cache byte budget (0 = default 64 MiB)")
 
 		maxInflight = fs.Int("max-inflight", 0, "admission control: max in-flight coordinator requests; excess queue briefly, then shed with an overload error (0 disables)")
@@ -190,8 +191,8 @@ func serve(args []string) error {
 		cancel()
 	}
 	if *data != "" {
-		// Final checkpoint: compact the WAL into one atomic snapshot so the
-		// next start replays nothing.
+		// Final checkpoint: spill dirty states to segments and truncate
+		// the WAL so the next start replays nothing.
 		fmt.Println("dvvstore: checkpointing store")
 		if err := nd.Store().Checkpoint(); err != nil {
 			fmt.Fprintln(os.Stderr, "dvvstore: checkpoint:", err)

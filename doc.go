@@ -68,8 +68,9 @@
 // Replicas are crash-safe when given a data directory (storage.Open,
 // node.Config.DataDir, dvvstore -data): every mutation is written ahead
 // to a CRC-framed, group-committed log before it is installed or acked,
-// checkpoints write atomic snapshots and truncate the log, and recovery
-// replays snapshot-then-WAL through the mechanism's Sync merge —
+// checkpoints spill dirty states to on-disk segments and truncate the log,
+// and recovery indexes the segments, then replays the WAL through the
+// mechanism's Sync merge —
 // idempotent, torn-tail tolerant, and dot-counter safe, so a restarted
 // replica never re-mints a dot it issued before the crash.
 //

@@ -24,12 +24,9 @@ var ErrOverload = errors.New("overloaded: admission queue full")
 // Config bounds a Controller.
 type Config struct {
 	// MaxInFlight is the number of concurrently admitted requests.
-	// Must be > 0.
+	// Must be > 0. At most queuePerSlot×MaxInFlight requests wait for a
+	// slot; one arriving behind that many waiters is shed immediately.
 	MaxInFlight int
-	// MaxQueue caps how many requests may wait for a slot; 0 means
-	// 4x MaxInFlight. A request arriving with MaxQueue waiters ahead
-	// of it is shed immediately.
-	MaxQueue int
 	// QueueTarget is the maximum time a request may wait for a slot
 	// before being shed (CoDel-style sojourn bound); 0 means 5ms.
 	QueueTarget time.Duration
@@ -45,6 +42,9 @@ type Stats struct {
 }
 
 const delayWindow = 512
+
+// queuePerSlot sizes the waiting queue: queuePerSlot waiters per slot.
+const queuePerSlot = 4
 
 // Controller is a concurrency limiter with a queue-delay bound.
 // The zero value is not usable; construct with New.
@@ -67,9 +67,6 @@ func New(cfg Config) *Controller {
 	if cfg.MaxInFlight <= 0 {
 		panic("admission: MaxInFlight must be > 0")
 	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 4 * cfg.MaxInFlight
-	}
 	if cfg.QueueTarget <= 0 {
 		cfg.QueueTarget = 5 * time.Millisecond
 	}
@@ -90,7 +87,7 @@ func (c *Controller) Acquire(ctx context.Context) (release func(), err error) {
 	default:
 	}
 
-	if int(c.queued.Load()) >= c.cfg.MaxQueue {
+	if int(c.queued.Load()) >= queuePerSlot*c.cfg.MaxInFlight {
 		c.shed.Add(1)
 		return nil, ErrOverload
 	}

@@ -28,7 +28,7 @@ func TestIdleNeverSheds(t *testing.T) {
 }
 
 func TestShedsWhenSaturated(t *testing.T) {
-	c := New(Config{MaxInFlight: 2, MaxQueue: 2, QueueTarget: 2 * time.Millisecond})
+	c := New(Config{MaxInFlight: 2, QueueTarget: 2 * time.Millisecond})
 	// Occupy both slots.
 	var holds []func()
 	for i := 0; i < 2; i++ {
@@ -56,22 +56,25 @@ func TestShedsWhenSaturated(t *testing.T) {
 }
 
 func TestQueueOverflowShedsImmediately(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 1, QueueTarget: time.Second})
+	c := New(Config{MaxInFlight: 1, QueueTarget: time.Second})
 	release, err := c.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	// One waiter occupies the queue.
-	done := make(chan error, 1)
-	go func() {
-		r, err := c.Acquire(context.Background())
-		if err == nil {
-			r()
-		}
-		done <- err
-	}()
-	// Wait for the waiter to be queued.
-	for i := 0; i < 100 && c.Stats().Queued == 0; i++ {
+	// queuePerSlot waiters fill the queue.
+	const waiters = queuePerSlot
+	done := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			r, err := c.Acquire(context.Background())
+			if err == nil {
+				r()
+			}
+			done <- err
+		}()
+	}
+	// Wait for the waiters to be queued.
+	for i := 0; i < 100 && c.Stats().Queued < waiters; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	// Queue is full: this one must shed immediately despite the long target.
@@ -84,8 +87,10 @@ func TestQueueOverflowShedsImmediately(t *testing.T) {
 		t.Fatalf("overflow shed took %v, want immediate", d)
 	}
 	release()
-	if err := <-done; err != nil {
-		t.Fatalf("queued waiter: %v", err)
+	for i := 0; i < waiters; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("queued waiter: %v", err)
+		}
 	}
 }
 
@@ -105,7 +110,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestConcurrentStress(t *testing.T) {
-	c := New(Config{MaxInFlight: 4, MaxQueue: 8, QueueTarget: time.Millisecond})
+	c := New(Config{MaxInFlight: 4, QueueTarget: time.Millisecond})
 	var wg sync.WaitGroup
 	var inFlight, maxSeen atomic.Int64
 	for g := 0; g < 32; g++ {
@@ -143,7 +148,7 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 func TestQueueDelayP99(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 4, QueueTarget: 50 * time.Millisecond})
+	c := New(Config{MaxInFlight: 1, QueueTarget: 50 * time.Millisecond})
 	// All immediate admissions: p99 must be ~0.
 	for i := 0; i < 10; i++ {
 		r, err := c.Acquire(context.Background())

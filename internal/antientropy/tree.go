@@ -156,15 +156,6 @@ func (t *Tree) Update(key string, oldHash uint64, existed bool, newHash uint64) 
 	t.Apply(TreeBucketOf(key), delta)
 }
 
-// Reset zeroes every leaf (used when an engine replaces its whole
-// content, e.g. snapshot load). Not safe concurrently with Apply.
-func (t *Tree) Reset() {
-	for i := range t.leaves {
-		t.leaves[i].Store(0)
-	}
-	t.dirty.Store(true)
-}
-
 // Digest returns the hash at (level, index); level 0 is the leaves, the
 // top level the root. Out-of-range coordinates return 0.
 func (t *Tree) Digest(level, index int) uint64 {

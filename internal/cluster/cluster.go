@@ -60,7 +60,7 @@ type Config struct {
 	SuspicionWindow time.Duration
 
 	// DataRoot enables durable storage: each node persists to
-	// <DataRoot>/<id> with a write-ahead log and atomic snapshots, and a
+	// <DataRoot>/<id> with a write-ahead log and spill segments, and a
 	// node restarted via RestartNode recovers its pre-crash state from
 	// there. Empty means in-memory nodes.
 	DataRoot string
@@ -69,12 +69,13 @@ type Config struct {
 	// (only meaningful with DataRoot).
 	Fsync bool
 
-	// Engine selects each node's storage engine (storage.EngineMemory or
-	// storage.EngineTiered; empty means memory). Tiered requires DataRoot.
+	// Engine selects each durable node's residency policy
+	// (storage.EngineMemory or storage.EngineTiered; empty means memory;
+	// see node.Config.Engine). Tiered requires DataRoot.
 	Engine string
 
-	// MemBudget bounds each node's tiered hot cache in bytes
-	// (0 = storage.DefaultMemBudget; ignored by the memory engine).
+	// MemBudget bounds each node's hot cache in bytes under the tiered
+	// policy (0 = storage.DefaultMemBudget; ignored under memory).
 	MemBudget int64
 
 	// Overload plane (see the matching node.Config fields): admission
@@ -382,7 +383,7 @@ func (c *Cluster) KillNode(id dot.ID) error {
 }
 
 // RestartNode resurrects a killed node with the same id: with a DataRoot
-// the replica recovers its pre-crash store (snapshot + WAL replay) before
+// the replica recovers its pre-crash store (segment index + WAL replay) before
 // serving, rejoining with every acknowledged write it ever persisted and
 // dot counters that cannot collide with those it issued before the crash.
 func (c *Cluster) RestartNode(id dot.ID) (*node.Node, error) {

@@ -37,9 +37,9 @@ var ErrCorrupt = errors.New("codec: corrupt input")
 // forcing huge allocations before the decoder notices.
 const maxLen = 1 << 26 // 64 MiB
 
-// MaxFrameBytes is the largest frame payload WriteFrame/AppendFrame will
-// emit and ReadFrame will accept. Callers sharing a connection across
-// concurrent requests (the mux transport) should reject oversized
+// MaxFrameBytes is the largest frame payload AppendFrame will emit and
+// ReadFrame will accept. Callers sharing a connection across concurrent
+// requests (the mux transport) should reject oversized
 // payloads before queueing them, so one huge message fails alone instead
 // of erroring inside the shared writer and tearing the connection down.
 const MaxFrameBytes = maxLen
@@ -474,13 +474,13 @@ func ClockSetSize(s []dvv.Clock) int {
 // ---------------------------------------------------------------------------
 
 // FrameOverhead is the per-frame framing cost in bytes: the 4-byte
-// big-endian length prefix WriteFrame/AppendFrame put before a payload.
+// big-endian length prefix AppendFrame puts before a payload.
 const FrameOverhead = 4
 
-// AppendFrame appends one length-framed message (the same layout
-// WriteFrame produces) to dst and returns the extended slice. The
-// multiplexed transport's writer loop uses it to coalesce every queued
-// frame into one buffer and hand the kernel a single write — the
+// AppendFrame appends one length-framed message (the layout ReadFrame
+// reads) to dst and returns the extended slice. The multiplexed
+// transport's writer loop uses it to coalesce every queued frame into one
+// buffer and hand the kernel a single write — the
 // writev-style flush that amortizes syscalls across concurrent requests.
 func AppendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > maxLen {
@@ -490,22 +490,6 @@ func AppendFrame(dst, payload []byte) ([]byte, error) {
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...), nil
-}
-
-// WriteFrame writes a 4-byte big-endian length prefix followed by payload.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxLen {
-		return fmt.Errorf("codec: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("codec: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("codec: write frame payload: %w", err)
-	}
-	return nil
 }
 
 // ReadFrame reads one length-framed message. A clean end of stream at a

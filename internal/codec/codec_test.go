@@ -225,15 +225,17 @@ func TestVVRoundTripQuick(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+	var raw []byte
 	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xAA}, 4096)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+		var err error
+		if raw, err = AppendFrame(raw, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	buf := bytes.NewReader(raw)
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrame(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,9 +246,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	_ = WriteFrame(&buf, []byte{1, 2, 3})
-	raw := buf.Bytes()[:5] // cut mid-payload
+	raw, _ := AppendFrame(nil, []byte{1, 2, 3})
+	raw = raw[:5] // cut mid-payload
 	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("expected error on truncated frame")
 	}

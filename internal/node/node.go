@@ -95,19 +95,21 @@ type Config struct {
 	SuspicionWindow time.Duration
 
 	// DataDir enables durable storage: the node's store is opened with
-	// storage.Open (write-ahead log + atomic snapshots) in this directory
-	// and recovers its pre-crash state — including every per-key dot
-	// counter it ever issued — on restart. Empty means in-memory only.
+	// storage.Open (the tiered engine: write-ahead log + spill segments)
+	// in this directory and recovers its pre-crash state — including
+	// every per-key dot counter it ever issued — on restart; states come
+	// back cold (see storage.Options.Engine). Empty means in-memory only.
 	DataDir string
 
-	// Engine selects the storage engine (storage.EngineMemory or
-	// storage.EngineTiered; empty means memory). The tiered engine is a
-	// byte-budgeted hot cache over on-disk spill segments and requires
-	// DataDir.
+	// Engine selects the durable engine's residency policy
+	// (storage.EngineMemory or storage.EngineTiered; empty means memory).
+	// Memory never evicts; tiered bounds resident states to MemBudget
+	// bytes and requires DataDir.
+	// Without DataDir the node's store is the in-memory map either way.
 	Engine string
 
-	// MemBudget bounds the tiered engine's hot-cache bytes
-	// (0 = storage.DefaultMemBudget; ignored by the memory engine).
+	// MemBudget bounds the hot-cache bytes under the tiered policy
+	// (0 = storage.DefaultMemBudget; ignored under memory).
 	MemBudget int64
 
 	// Fsync makes every WAL commit fsync before a write is acknowledged
@@ -257,7 +259,7 @@ type Stats struct {
 
 	// Engine-level store counters, filled from storage.Stats at Stats()
 	// time rather than bump-maintained. Engine names the storage engine;
-	// the cache/segment fields are zero on the memory engine.
+	// the cache/segment and WAL fields are zero without a data directory.
 	Engine                 string
 	StoreKeys              uint64
 	CacheBytes             uint64

@@ -64,10 +64,9 @@ type NemesisConfig struct {
 	// skew variant asserts DVV verdicts stay CLEAN under ±30s.
 	ClockSkew time.Duration
 
-	// Engine as in cluster.Config; the cluster always runs durable (WAL
+	// Fsync as in cluster.Config; the cluster always runs durable (WAL
 	// in the write path) so the fsync stall has a victim.
-	Engine string
-	Fsync  bool
+	Fsync bool
 }
 
 // DefaultNemesisConfig is sized to finish in a few seconds under -race.
@@ -285,7 +284,6 @@ func runNemesisOne(cfg NemesisConfig, mech core.Mechanism) (NemesisResult, error
 		Seed:            cfg.Seed,
 		DataRoot:        dataRoot,
 		Fsync:           cfg.Fsync,
-		Engine:          cfg.Engine,
 		ClockSkew:       skewFn,
 	})
 	if err != nil {

@@ -87,8 +87,7 @@ type OverloadConfig struct {
 	QueueTarget   time.Duration
 	ClientRetries int
 
-	Seed   int64
-	Engine string
+	Seed int64
 }
 
 // DefaultOverloadConfig is sized to finish in well under a minute
@@ -328,7 +327,6 @@ func runOverloadArm(cfg OverloadConfig, protected bool, capacity float64) (Overl
 		Seed:          cfg.Seed,
 		DataRoot:      dataRoot,
 		Fsync:         true,
-		Engine:        cfg.Engine,
 		ClientRetries: cfg.ClientRetries,
 	}
 	if protected {

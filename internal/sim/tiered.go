@@ -1,6 +1,7 @@
 // D4 — tiered storage under a fixed memory budget: the same workload on
-// the all-memory engine and on the tiered engine whose hot cache is
-// 10-100x smaller than the dataset, comparing put/get latency and
+// the durable engine under its two residency policies — "memory" (no byte
+// budget: nothing is evicted) and "tiered" (a hot cache 10-100x smaller
+// than the dataset) — comparing put/get latency and
 // reporting the cache's hit rate, spill/fault traffic and segment count.
 // The paper's point makes this split natural: causal metadata is O(replicas)
 // per key and stays resident (the tiered index), while the value plane —
@@ -60,7 +61,7 @@ func dirBytes(dir string) int64 {
 	return total
 }
 
-// RunTieredStorage runs the D4 comparison. Both engines are durable with
+// RunTieredStorage runs the D4 comparison. Both policies run durable with
 // fsync off so the measured difference is the cache machinery (WAL append,
 // spill, fault), not the disk's sync latency. The run fails if the tiered
 // engine's resident cache ever reports more than its budget after the
@@ -70,7 +71,7 @@ func RunTieredStorage(cfg TieredConfig) (*stats.Table, error) {
 	if cfg.Keys == 0 {
 		cfg = DefaultTieredConfig()
 	}
-	t := stats.NewTable("D4 — bounded-memory tiered engine vs all-memory engine (fsync off)",
+	t := stats.NewTable("D4 — tiered engine: bounded budget vs no budget (fsync off)",
 		"engine", "keys", "disk KiB", "cache KiB", "data/budget", "put ns", "get ns",
 		"hit %", "spills", "faults", "segments")
 	mech := core.NewDVV()
@@ -105,9 +106,8 @@ func RunTieredStorage(cfg TieredConfig) (*stats.Table, error) {
 				}
 			}
 			putNS := time.Since(loadStart).Nanoseconds() / int64(cfg.Keys)
-			// Checkpoint between phases: the memory engine rewrites its whole
-			// snapshot, the tiered engine flushes dirty deltas — both end the
-			// load phase with an empty WAL, so the read phase is log-free.
+			// Checkpoint between phases: it spills the dirty states and
+			// truncates the WAL, so the read phase is log-free.
 			if err := s.Checkpoint(); err != nil {
 				return err
 			}

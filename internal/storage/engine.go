@@ -1,25 +1,28 @@
 // Engine is the pluggable storage contract: the exact surface the replica
-// server (internal/node) consumes from its local store. Two engines
+// server (internal/node) consumes from its local store. Two types
 // implement it —
 //
-//	memory  (*Store)  — the sharded in-memory map, optionally durable
-//	                    behind a WAL + atomic snapshots (Open, durable.go)
-//	tiered  (*Tiered) — a memory-bounded cache over immutable on-disk
-//	                    segments with incremental checkpoints (tiered.go)
+//	*Store  — the sharded in-memory map: no disk, nothing survives a
+//	          restart (nodes without a data directory, the sims, tests)
+//	*Tiered — the durable engine: a hot cache over immutable on-disk
+//	          segments, behind a WAL, with incremental checkpoints
+//	          (tiered.go). Every data directory is opened as a Tiered.
 //
-// — so the node, cluster, sim and CLI layers select an engine by name
-// without knowing its representation, and the conformance suite runs the
-// same contract tests over both.
+// — so the node, cluster, sim and CLI layers hold an Engine without
+// knowing its representation, and the conformance suite runs the same
+// contract tests over both.
 package storage
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 )
 
-// Engine names accepted by Options.Engine and the -engine CLI flags.
+// Residency policies accepted by Options.Engine and the -engine CLI flags.
+// Both open the tiered engine; they differ only in its byte budget.
 const (
 	EngineMemory = "memory"
 	EngineTiered = "tiered"
@@ -29,12 +32,58 @@ const (
 // Options.MemBudget is zero.
 const DefaultMemBudget = 64 << 20 // 64 MiB
 
+// Options parameterises a durable engine.
+type Options struct {
+	// Engine selects the residency policy. EngineMemory (or empty) gives
+	// the cache no byte budget: nothing is evicted. EngineTiered bounds
+	// the resident states to MemBudget bytes and spills the rest to
+	// segments. After a restart both come back cold: a write faults its
+	// key's state back in, while reads (Snapshot, EncodeKey, Siblings)
+	// serve a cold state from its segment without installing it.
+	Engine string
+	// Dir is the data directory (created if missing).
+	Dir string
+	// Shards is the lock-shard count (0 = DefaultShards).
+	Shards int
+	// MemBudget bounds the hot-cache bytes under EngineTiered
+	// (0 = DefaultMemBudget; ignored under EngineMemory).
+	MemBudget int64
+	// Faults, when non-nil, attaches a schedulable transient disk-fault
+	// injector (fsync stalls, bounded append failures) to the engine's
+	// WAL at open — the nemesis experiments' slow-disk hook. See
+	// fault.go; equivalent to calling InjectFaults after Open.
+	Faults *Faults
+	// Fsync makes every WAL group-commit batch fsync before the mutation
+	// is acknowledged; off, appends are buffered writes and a crash can
+	// lose the un-synced tail (never a torn half-state: replay still
+	// recovers a clean record prefix).
+	//
+	// CAUTION: with Fsync off the lost tail can include writes that were
+	// acked AND replicated, so a recovered replica's per-key dot counters
+	// can regress below dots its peers already hold — its next write
+	// re-mints such a dot with a different value, and Sync (which assumes
+	// dots are globally unique) silently keeps one side. That is the
+	// paper-correctness hazard the WAL exists to prevent; the E2 crash
+	// oracle (zero lost acked writes, zero duplicate dots) is only
+	// guaranteed with Fsync on. Leave it on unless the workload can
+	// tolerate post-crash causality corruption, not just lost writes.
+	Fsync bool
+}
+
+// RecoveryInfo describes what Open found on disk.
+type RecoveryInfo struct {
+	SnapshotKeys int   // keys indexed from the spill segments
+	WALRecords   int   // records replayed from wal.prev + wal.log
+	TornBytes    int64 // torn-tail bytes discarded (WAL and segment files)
+}
+
 // Engine is a replica's local multi-version store. All methods are safe
 // for concurrent use. The mutation methods follow the write-ahead
 // discipline on durable engines: returning nil means the mutation is
 // durable, and a failed append leaves memory untouched.
 type Engine interface {
-	// Name identifies the engine kind (EngineMemory or EngineTiered).
+	// Name identifies the engine: "memory" for *Store, "tiered" for
+	// *Tiered whatever its residency policy.
 	Name() string
 	// Mechanism returns the causality mechanism states belong to.
 	Mechanism() core.Mechanism
@@ -76,6 +125,9 @@ type Engine interface {
 	// Stats returns a snapshot of the engine's counters.
 	Stats() Stats
 
+	// The durability surface below is a no-op on *Store, which has no
+	// disk.
+
 	// Recovery returns what opening found on disk.
 	Recovery() RecoveryInfo
 	// WALSize returns the write-ahead log's logical offset in bytes.
@@ -84,7 +136,7 @@ type Engine interface {
 	FailWALAt(offset int64, onCrash func())
 	// InjectFaults attaches a schedulable transient disk-fault injector
 	// — fsync stalls, bounded append failures — to the engine's WAL
-	// (experiments only; a no-op on non-durable stores). See fault.go.
+	// (experiments only). See fault.go.
 	InjectFaults(f *Faults)
 	// Checkpoint compacts the log so recovery replays little or nothing.
 	Checkpoint() error
@@ -98,28 +150,28 @@ var (
 	_ Engine = (*Tiered)(nil)
 )
 
-// Open creates (or recovers) a durable engine in o.Dir. The engine kind is
-// selected by o.Engine (empty means EngineMemory, the map engine behind a
-// WAL and atomic snapshots; EngineTiered is the memory-bounded cache over
-// spill segments).
+// Open creates (or recovers) the durable engine in o.Dir: always a Tiered,
+// whose byte budget o.Engine selects — none under EngineMemory (or
+// empty), o.MemBudget under EngineTiered.
 func Open(mech core.Mechanism, o Options) (Engine, error) {
-	var (
-		e   Engine
-		err error
-	)
+	var budget int64
 	switch o.Engine {
 	case "", EngineMemory:
-		e, err = openStore(mech, o)
+		budget = math.MaxInt64 // whole keyspace resident: nothing is evicted
 	case EngineTiered:
-		e, err = openTiered(mech, o)
+		budget = o.MemBudget
+		if budget <= 0 {
+			budget = DefaultMemBudget
+		}
 	default:
 		return nil, fmt.Errorf("storage: unknown engine %q (want %s or %s)", o.Engine, EngineMemory, EngineTiered)
 	}
+	t, err := openTiered(mech, o, budget)
 	if err != nil {
 		return nil, err
 	}
 	if o.Faults != nil {
-		e.InjectFaults(o.Faults)
+		t.InjectFaults(o.Faults)
 	}
-	return e, nil
+	return t, nil
 }

@@ -1,9 +1,13 @@
 package storage
 
-// Engine-conformance suite: every contract test here runs over both
-// engines (memory behind its WAL, tiered with a deliberately tiny cache
-// budget so spill/fault paths are always exercised), so the two
-// implementations can never drift apart on the surface the node consumes.
+// Engine-conformance suite: every contract test here runs over the engines
+// a node can hold, so they can never drift apart on the surface the node
+// consumes —
+//
+//	memory  — Open under the EngineMemory policy (tiered, no byte budget)
+//	tiered  — Open with a deliberately tiny budget, so spill/fault paths
+//	          are always exercised
+//	sharded — NewSharded, the non-durable map (tests that never reopen)
 
 import (
 	"bytes"
@@ -25,15 +29,34 @@ import (
 // shard.
 const tinyBudget = 16 << 10
 
-// forEachEngine runs fn once per engine kind with a fresh durable engine
-// in its own directory.
-func forEachEngine(t *testing.T, fn func(t *testing.T, kind string, open func(t *testing.T, dir string) Engine)) {
+// sharded names the non-durable arm of the suite.
+const sharded = "sharded"
+
+type engineTest func(t *testing.T, kind string, open func(t *testing.T, dir string) Engine)
+
+// forEachEngine runs fn once per engine kind, the non-durable map
+// included; open ignores dir for it.
+func forEachEngine(t *testing.T, fn engineTest) {
 	t.Helper()
-	for _, kind := range []string{EngineMemory, EngineTiered} {
-		kind := kind
+	runEngines(t, []string{EngineMemory, EngineTiered, sharded}, fn)
+}
+
+// forEachDurable runs fn once per residency policy, each opening a fresh
+// durable engine in its directory — for tests that reopen or crash.
+func forEachDurable(t *testing.T, fn engineTest) {
+	t.Helper()
+	runEngines(t, []string{EngineMemory, EngineTiered}, fn)
+}
+
+func runEngines(t *testing.T, kinds []string, fn engineTest) {
+	t.Helper()
+	for _, kind := range kinds {
 		t.Run(kind, func(t *testing.T) {
 			fn(t, kind, func(t *testing.T, dir string) Engine {
 				t.Helper()
+				if kind == sharded {
+					return NewSharded(core.NewDVV(), DefaultShards)
+				}
 				e, err := Open(core.NewDVV(), Options{
 					Engine: kind, Dir: dir, Fsync: false, MemBudget: tinyBudget,
 				})
@@ -58,12 +81,14 @@ func putKeys(t *testing.T, e Engine, n int) {
 	}
 }
 
+// TestEngineOpenSelectsKind: a data directory always opens the tiered
+// engine; the kind selects only its residency policy.
 func TestEngineOpenSelectsKind(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		e := open(t, t.TempDir())
 		defer e.Close()
-		if e.Name() != kind {
-			t.Fatalf("Name() = %q, want %q", e.Name(), kind)
+		if _, ok := e.(*Tiered); !ok || e.Name() != EngineTiered {
+			t.Fatalf("Open(%s) = %T named %q, want the tiered engine", kind, e, e.Name())
 		}
 		if _, err := e.Put("k", core.NewDVV().EmptyContext(), []byte("v"), core.WriteInfo{Server: "S1", Client: "c1"}); err != nil {
 			t.Fatal(err)
@@ -84,7 +109,7 @@ func TestEngineOpenRejectsUnknown(t *testing.T) {
 }
 
 // TestEngineConformanceBasics: reads, listings and the O(1) counters agree
-// with per-key ground truth on both engines.
+// with per-key ground truth on every engine.
 func TestEngineConformanceBasics(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		e := open(t, t.TempDir())
@@ -147,8 +172,8 @@ func TestEngineConformanceBasics(t *testing.T) {
 }
 
 // TestEngineConformanceHashesMatchAcrossEngines: the same workload yields
-// byte-identical canonical encodings on both engines — the property
-// anti-entropy between a memory node and a tiered node depends on.
+// byte-identical canonical encodings on every engine — the property
+// anti-entropy between a non-durable node and a durable one depends on.
 func TestEngineConformanceHashesMatchAcrossEngines(t *testing.T) {
 	hashes := map[string][]uint64{}
 	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
@@ -160,14 +185,14 @@ func TestEngineConformanceHashesMatchAcrossEngines(t *testing.T) {
 		}
 	})
 	for k, hs := range hashes {
-		if len(hs) != 2 || hs[0] != hs[1] {
+		if len(hs) != 3 || hs[0] != hs[1] || hs[0] != hs[2] {
 			t.Fatalf("key %s hashes differ across engines: %v", k, hs)
 		}
 	}
 }
 
 // TestEngineConformanceSyncKey: merge semantics, the empty-into-absent
-// no-op and the no-op-merge WAL skip hold on both engines.
+// no-op and the no-op-merge WAL skip hold on every engine.
 func TestEngineConformanceSyncKey(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		e := open(t, t.TempDir())
@@ -288,7 +313,7 @@ func TestEngineConformanceSharedStates(t *testing.T) {
 var sinkState core.State
 
 // TestReadPathAllocBounds pins the no-copy read path: a hot key's Snapshot
-// returns the installed state itself, so it allocates nothing on either
+// returns the installed state itself, so it allocates nothing on any
 // engine, however many siblings the key holds.
 func TestReadPathAllocBounds(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
@@ -314,7 +339,7 @@ func TestReadPathAllocBounds(t *testing.T) {
 // TestEngineConformanceReopen: everything written before Close is intact
 // after reopen, with identical canonical encodings.
 func TestEngineConformanceReopen(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		dir := t.TempDir()
 		e := open(t, dir)
 		const n = 400
@@ -349,11 +374,11 @@ func TestEngineConformanceReopen(t *testing.T) {
 	})
 }
 
-// TestEngineConformanceCrashFailpoint is the store-level E2 core on both
-// engines: acked writes survive a WAL tear, the torn write is neither
+// TestEngineConformanceCrashFailpoint is the store-level E2 core under
+// both policies: acked writes survive a WAL tear, the torn write is neither
 // acked nor visible, and recovery truncates the tail.
 func TestEngineConformanceCrashFailpoint(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		dir := t.TempDir()
 		e := open(t, dir)
 		m := e.Mechanism()
@@ -407,7 +432,7 @@ func TestEngineConformanceCrashFailpoint(t *testing.T) {
 // readers and mergers run against a checkpoint loop, then a reopen proves
 // nothing acked was lost.
 func TestEngineConformanceConcurrentCheckpoint(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		dir := t.TempDir()
 		e := open(t, dir)
 		m := e.Mechanism()
@@ -540,28 +565,38 @@ func TestTieredColdPathsMatchHot(t *testing.T) {
 	}
 }
 
-// TestTieredStatsEngineFields pins the Stats surface both CLIs print.
+// TestTieredStatsEngineFields pins the Stats surface both CLIs print, and
+// the memory policy's contract: a dataset that overflows a tiny budget
+// never spills under EngineMemory, and reads it all back from memory.
 func TestTieredStatsEngineFields(t *testing.T) {
-	e, err := Open(core.NewDVV(), Options{Engine: EngineTiered, Dir: t.TempDir(), MemBudget: tinyBudget})
-	if err != nil {
-		t.Fatal(err)
+	const n = 2000
+	for _, kind := range []string{EngineMemory, EngineTiered} {
+		t.Run(kind, func(t *testing.T) {
+			e, err := Open(core.NewDVV(), Options{Engine: kind, Dir: t.TempDir(), MemBudget: tinyBudget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			putKeys(t, e, n)
+			for i := 0; i < n; i++ {
+				e.Get(fmt.Sprintf("key-%04d", i))
+			}
+			st := e.Stats()
+			if st.Engine != EngineTiered {
+				t.Fatalf("Stats.Engine = %q", st.Engine)
+			}
+			if st.Puts != n || st.Keys != n {
+				t.Fatalf("Puts=%d Keys=%d", st.Puts, st.Keys)
+			}
+			spilled := st.Spills > 0 || st.Faults > 0 || st.CacheMisses > 0
+			if want := kind == EngineTiered; spilled != want {
+				t.Fatalf("%s: spills=%d faults=%d misses=%d, want spilling=%v",
+					kind, st.Spills, st.Faults, st.CacheMisses, want)
+			}
+		})
 	}
-	defer e.Close()
-	putKeys(t, e, 100)
-	st := e.Stats()
-	if st.Engine != EngineTiered {
-		t.Fatalf("Stats.Engine = %q", st.Engine)
-	}
-	if st.Puts != 100 || st.Keys != 100 {
-		t.Fatalf("Puts=%d Keys=%d", st.Puts, st.Keys)
-	}
-	mem, err := Open(core.NewDVV(), Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	if got := mem.Stats().Engine; got != EngineMemory {
-		t.Fatalf("memory Stats.Engine = %q", got)
+	if got := New(core.NewDVV()).Stats().Engine; got != EngineMemory {
+		t.Fatalf("in-memory Stats.Engine = %q", got)
 	}
 }
 
@@ -569,9 +604,9 @@ func TestTieredStatsEngineFields(t *testing.T) {
 // property test: after an arbitrary interleaved sequence of Put, SyncKey,
 // Checkpoint and close/reopen operations, the tree every engine maintains
 // incrementally at install time must equal a from-scratch rebuild over
-// KeyHash ground truth — at every level, on both engines.
+// KeyHash ground truth — at every level, under both policies.
 func TestEngineConformanceMerkleTreeMatchesRebuild(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		dir := t.TempDir()
 		e := open(t, dir)
 		defer func() { e.Close() }()

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-// faultEngines runs fn against both durable engines with an injector
+// faultEngines runs fn under both residency policies with an injector
 // attached via Options.Faults — the same surface the nemesis uses.
 func faultEngines(t *testing.T, fn func(t *testing.T, e Engine, f *Faults, reopen func() Engine)) {
 	t.Helper()

@@ -1,11 +1,16 @@
 package storage
 
+// Recovery tests for the durable engine: what a data directory holds after
+// a close, a crash or an interrupted checkpoint comes back intact, and a
+// recovered replica never reissues a dot.
+
 import (
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,13 +19,14 @@ import (
 	"repro/internal/dot"
 )
 
-func openTemp(t *testing.T, m core.Mechanism, dir string, fsync bool) *Store {
+// openTemp opens dir through Open with the default (memory) policy.
+func openTemp(t *testing.T, m core.Mechanism, dir string, fsync bool) *Tiered {
 	t.Helper()
-	s, err := openStore(m, Options{Dir: dir, Fsync: fsync})
+	e, err := Open(m, Options{Dir: dir, Fsync: fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return e.(*Tiered)
 }
 
 func TestOpenEmptyDirAndReopen(t *testing.T) {
@@ -56,15 +62,15 @@ func TestOpenEmptyDirAndReopen(t *testing.T) {
 			t.Fatalf("key %s: %v != %v", k, vals(b), vals(a))
 		}
 	}
-	// Open compacted: the directory now has a snapshot and an empty log,
-	// so a third open recovers from the snapshot alone.
+	// Open compacted: the directory now has segments and an empty log,
+	// so a third open recovers from the segments alone.
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r2 := openTemp(t, m, dir, true)
 	defer r2.Close()
 	if got := r2.Recovery(); got.SnapshotKeys != 30 || got.WALRecords != 0 {
-		t.Fatalf("post-compaction recovery = %+v, want 30 snapshot keys, 0 WAL records", got)
+		t.Fatalf("post-compaction recovery = %+v, want 30 segment keys, 0 WAL records", got)
 	}
 }
 
@@ -320,10 +326,7 @@ func TestOpenRecoversInterruptedCheckpoint(t *testing.T) {
 	}
 	s.Close()
 	// Hand-craft the interrupted state: the log becomes the retired
-	// segment, no snapshot survives (a fresh Open writes none).
-	if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
+	// segment (a fresh Open spilled nothing, so no segment holds it).
 	if err := os.Rename(filepath.Join(dir, walName), filepath.Join(dir, walPrevName)); err != nil {
 		t.Fatal(err)
 	}
@@ -377,8 +380,8 @@ func TestOpenRefusesDoubleOpen(t *testing.T) {
 // for the double-interrupted-checkpoint loss: when a failed checkpoint
 // leaves wal.prev behind, the next Checkpoint must NOT rotate the active
 // log over it — at that moment wal.prev may be the only durable copy of
-// acked writes, and overwriting it before the new snapshot lands would
-// lose them if the process died again mid-snapshot.
+// acked writes, and overwriting it before the spills covering it are
+// durable would lose them if the process died again mid-checkpoint.
 func TestCheckpointPreservesLeftoverRetiredSegment(t *testing.T) {
 	m := core.NewDVV()
 	dir := t.TempDir()
@@ -387,7 +390,7 @@ func TestCheckpointPreservesLeftoverRetiredSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a checkpoint that failed right after rotation: key-a's
-	// record now lives only in wal.prev (no snapshot was written).
+	// record now lives only in wal.prev (nothing was spilled).
 	prev := filepath.Join(dir, walPrevName)
 	if err := s.wal.rotate(prev); err != nil {
 		t.Fatal(err)
@@ -400,12 +403,12 @@ func TestCheckpointPreservesLeftoverRetiredSegment(t *testing.T) {
 		t.Fatal("setup: key-b's record should be in the active segment")
 	}
 	// The recovery checkpoint must skip rotation (wal.prev untouched until
-	// the snapshot covering it is durable), then drop it.
+	// the spills covering it are durable), then drop it.
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(prev); !os.IsNotExist(err) {
-		t.Fatal("retired segment not dropped after the snapshot landed")
+		t.Fatal("retired segment not dropped after the spills landed")
 	}
 	if s.wal.SegmentSize() != segBefore {
 		t.Fatalf("active segment was rotated (size %d -> %d) while a retired segment existed", segBefore, s.wal.SegmentSize())
@@ -417,6 +420,116 @@ func TestCheckpointPreservesLeftoverRetiredSegment(t *testing.T) {
 		if _, ok := r.Get(k); !ok {
 			t.Fatalf("key %s lost across the recovered checkpoint", k)
 		}
+	}
+}
+
+// TestSaveLoadRoundTrip: every mechanism's multi-sibling states survive
+// the full disk round trip — Checkpoint spills them to segments, and a
+// reopen that replays no WAL serves them back cold from the segments.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	for name, m := range core.Registry() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTemp(t, m, dir, false)
+			for i := 0; i < 5; i++ {
+				k := fmt.Sprintf("key-%d", i)
+				_, _ = s.Put(k, m.EmptyContext(), []byte(fmt.Sprintf("v%d", i)), core.WriteInfo{Server: "S1", Client: "c1"})
+				_, _ = s.Put(k, m.EmptyContext(), []byte(fmt.Sprintf("w%d", i)), core.WriteInfo{Server: "S2", Client: "c2"})
+			}
+			want := map[string][]string{}
+			for _, k := range s.Keys() {
+				rr, _ := s.Get(k)
+				want[k] = vals(rr)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			r := openTemp(t, m, dir, false)
+			defer r.Close()
+			if got := r.Recovery(); got.WALRecords != 0 || got.SnapshotKeys != len(want) {
+				t.Fatalf("recovery = %+v, want %d segment keys and no WAL records", got, len(want))
+			}
+			if !reflect.DeepEqual(r.Keys(), s.Keys()) {
+				t.Fatalf("keys = %v, want %v", r.Keys(), s.Keys())
+			}
+			for k, w := range want {
+				rr, _ := r.Get(k)
+				if !reflect.DeepEqual(vals(rr), w) {
+					t.Fatalf("key %s: %v != %v", k, vals(rr), w)
+				}
+			}
+			if r.Stats().Faults != uint64(len(want)) {
+				t.Fatalf("faults = %d, want every key read back from its segment", r.Stats().Faults)
+			}
+		})
+	}
+}
+
+// TestSaveLoadThroughFile: a restored engine keeps operating — a context
+// read from the recovered state dominates every restored sibling.
+func TestSaveLoadThroughFile(t *testing.T) {
+	m := core.NewDVV()
+	dir := t.TempDir()
+	s := openTemp(t, m, dir, true)
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("key-%02d", i)
+		if _, err := s.Put(key, m.EmptyContext(), []byte(fmt.Sprintf("v%d", i)),
+			core.WriteInfo{Server: "S1", Client: dot.ID(fmt.Sprintf("c%d", i%4))}); err != nil {
+			t.Fatal(err)
+		}
+		// Fork a sibling on every third key.
+		if i%3 == 0 {
+			if _, err := s.Put(key, m.EmptyContext(), []byte("fork"),
+				core.WriteInfo{Server: "S2", Client: "forker"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	restored := openTemp(t, m, dir, true)
+	defer restored.Close()
+	if !reflect.DeepEqual(restored.Keys(), s.Keys()) {
+		t.Fatalf("keys = %v, want %v", restored.Keys(), s.Keys())
+	}
+	rr, _ := restored.Get("key-00")
+	if !reflect.DeepEqual(vals(rr), []string{"fork", "v0"}) {
+		t.Fatalf("restored key-00 = %v", vals(rr))
+	}
+	after, err := restored.Put("key-00", rr.Ctx, []byte("post-restore"),
+		core.WriteInfo{Server: "S1", Client: "c9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(vals(after), []string{"post-restore"}) {
+		t.Fatalf("post-restore put = %v", vals(after))
+	}
+}
+
+// TestOpenRefusesLegacySnapshot: a directory holding a whole-store
+// snapshot.dat (written by an earlier map engine) must not open empty over
+// it, under either policy, and the error must name the file.
+func TestOpenRefusesLegacySnapshot(t *testing.T) {
+	for _, kind := range []string{EngineMemory, EngineTiered} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.dat"), []byte{0, 0, 0, 1, 0}, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, err := Open(core.NewDVV(), Options{Engine: kind, Dir: dir})
+			if err == nil {
+				e.Close()
+				t.Fatal("Open over a legacy snapshot.dat succeeded")
+			}
+			if !strings.Contains(err.Error(), "snapshot.dat") {
+				t.Fatalf("error %q does not name snapshot.dat", err)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -17,12 +15,12 @@ func TestNewShardedRoundsUp(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {65, 128},
 	} {
-		if got := NewSharded(m, tc.in).ShardCount(); got != tc.want {
-			t.Errorf("NewSharded(%d).ShardCount() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewSharded(m, tc.in).shards); got != tc.want {
+			t.Errorf("len(NewSharded(%d).shards) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	if got := New(m).ShardCount(); got != DefaultShards {
-		t.Errorf("New().ShardCount() = %d, want %d", got, DefaultShards)
+	if got := len(New(m).shards); got != DefaultShards {
+		t.Errorf("len(New().shards) = %d, want %d", got, DefaultShards)
 	}
 }
 
@@ -89,15 +87,9 @@ func TestShardedStressRace(t *testing.T) {
 		keys[i] = fmt.Sprintf("key-%02d", i)
 	}
 
-	// A serialized store image to Load from, plus a donor state to sync in.
+	// A donor state to sync in.
 	seedStore := New(m)
-	for _, k := range keys {
-		_, _ = seedStore.Put(k, m.EmptyContext(), []byte("seed"), core.WriteInfo{Server: "S9", Client: "seeder"})
-	}
-	var image bytes.Buffer
-	if err := seedStore.Save(&image); err != nil {
-		t.Fatal(err)
-	}
+	_, _ = seedStore.Put(keys[0], m.EmptyContext(), []byte("seed"), core.WriteInfo{Server: "S9", Client: "seeder"})
 	donor, _ := seedStore.Snapshot(keys[0])
 
 	const iters = 300
@@ -136,17 +128,6 @@ func TestShardedStressRace(t *testing.T) {
 		_ = s.Len()
 		_ = s.TotalMetadataBytes()
 		_ = s.Stats()
-	})
-	worker(7, func(i int, key string) { // persistence under fire
-		if i%50 != 0 {
-			return
-		}
-		if err := s.Save(io.Discard); err != nil {
-			t.Error(err)
-		}
-		if _, err := s.Load(bytes.NewReader(image.Bytes())); err != nil {
-			t.Error(err)
-		}
 	})
 	wg.Wait()
 

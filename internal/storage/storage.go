@@ -8,22 +8,19 @@
 // Internally the store is sharded: keys hash (FNV-1a) onto a fixed
 // power-of-two array of shards, each guarded by its own RWMutex. Request
 // handlers touching different shards never contend, and whole-store
-// operations (Keys, TotalMetadataBytes, Save, Load) walk the shards one at
-// a time instead of stalling the entire store behind a single lock. The
-// price is that whole-store reads are per-shard-consistent rather than a
-// point-in-time snapshot of the full map — acceptable for the anti-entropy
-// and accounting paths that use them, since every key's state is itself
+// operations (Keys, TreeBucketKeys) walk the shards one at a time instead
+// of stalling the entire store behind a single lock. The price is that
+// whole-store reads are per-shard-consistent rather than a point-in-time
+// snapshot of the full map — acceptable for the anti-entropy and
+// accounting paths that use them, since every key's state is itself
 // read under its shard lock and anti-entropy reconverges on the next
 // round.
 package storage
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"math/bits"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,9 +50,9 @@ type shard struct {
 	buckets map[int][]string
 }
 
-// Store is a replica's local key-value state under one mechanism. Stores
-// built by New/NewSharded are purely in-memory; Open builds a durable one
-// whose mutations are written ahead to a per-store WAL (see durable.go).
+// Store is a replica's local key-value state under one mechanism, purely
+// in memory: nothing survives a restart. Durable replicas use the Tiered
+// engine that Open returns.
 type Store struct {
 	mech core.Mechanism
 
@@ -65,10 +62,10 @@ type Store struct {
 	// operation counters; atomics so reads never touch the shard locks.
 	puts, gets, syncs atomic.Uint64
 
-	// keyCount and metaBytes are maintained at every install site (Put,
-	// SyncKey, applyReplay, Load), so Len and TotalMetadataBytes are O(1)
-	// reads instead of all-shard walks — every stats RPC and anti-entropy
-	// tick used to pay an O(shards·keys) scan for them.
+	// keyCount and metaBytes are maintained at install (Put and SyncKey),
+	// so Len and TotalMetadataBytes are O(1) reads instead of all-shard
+	// walks — every stats RPC and anti-entropy tick used to pay an
+	// O(shards·keys) scan for them.
 	keyCount  atomic.Int64
 	metaBytes atomic.Int64
 
@@ -78,15 +75,6 @@ type Store struct {
 	// anti-entropy reads TreeDigest instead of rebuilding a digest from
 	// every key.
 	tree *antientropy.Tree
-
-	// durability (nil wal = in-memory store); see durable.go.
-	wal         *WAL
-	dir         string
-	lock        *os.File // flock'd LOCK file guarding dir against double-open
-	recovery    RecoveryInfo
-	ckptMu      sync.Mutex
-	walAppends  atomic.Uint64
-	checkpoints atomic.Uint64
 }
 
 // New creates an empty store for the given mechanism with DefaultShards
@@ -124,9 +112,6 @@ func (s *Store) Name() string { return EngineMemory }
 // Mechanism returns the store's causality mechanism.
 func (s *Store) Mechanism() core.Mechanism { return s.mech }
 
-// ShardCount returns the number of lock domains.
-func (s *Store) ShardCount() int { return len(s.shards) }
-
 // fnv64a is FNV-1a, inlined to keep key hashing allocation-free on the
 // request path. One implementation serves both the key→shard map and the
 // state-divergence hash.
@@ -160,12 +145,7 @@ func (s *Store) Get(key string) (core.ReadResult, bool) {
 
 // Put applies a client write to key and returns the post-write read result
 // (values surviving plus the new context — what the server hands back to
-// the client, Riak's return_body). On a durable store the post-state is
-// committed to the WAL *before* it is installed, still under the shard
-// lock: Put returning nil means the write is durable, and a failed append
-// leaves memory untouched, so the in-memory state never runs ahead of the
-// log (a crashed-then-recovered replica cannot re-mint a dot it already
-// issued but failed to persist).
+// the client, Riak's return_body).
 func (s *Store) Put(key string, ctx core.Context, value []byte, w core.WriteInfo) (core.ReadResult, error) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -181,15 +161,7 @@ func (s *Store) Put(key string, ctx core.Context, value []byte, w core.WriteInfo
 	if err != nil {
 		return core.ReadResult{}, fmt.Errorf("storage: put %q: %w", key, err)
 	}
-	var hash uint64
-	if s.wal != nil {
-		if hash, err = s.appendWAL(key, ns); err != nil {
-			return core.ReadResult{}, fmt.Errorf("storage: put %q: %w", key, err)
-		}
-	} else {
-		hash = HashState(s.mech, ns)
-	}
-	s.install(sh, key, ns, ok, oldMeta, hash)
+	s.install(sh, key, ns, ok, oldMeta, HashState(s.mech, ns))
 	s.puts.Add(1)
 	return s.mech.Read(ns), nil
 }
@@ -197,8 +169,7 @@ func (s *Store) Put(key string, ctx core.Context, value []byte, w core.WriteInfo
 // install writes st into the shard map and keeps the O(1) key and
 // metadata counters, the per-key hash cache and the Merkle tree in step.
 // Called with the shard lock held; existed and oldMeta describe the entry
-// being replaced; hash is st's KeyHash (callers compute it from bytes
-// they already encoded where possible).
+// being replaced; hash is st's KeyHash.
 func (s *Store) install(sh *shard, key string, st core.State, existed bool, oldMeta int, hash uint64) {
 	old := sh.hashes[key]
 	sh.data[key] = st
@@ -213,11 +184,7 @@ func (s *Store) install(sh *shard, key string, st core.State, existed bool, oldM
 }
 
 // SyncKey merges a remote state for key into the local one (replication
-// and anti-entropy ingest path). Durable stores follow the same
-// WAL-before-install discipline as Put; merges that change nothing (the
-// common case on read-path folds and repeated anti-entropy) are detected
-// by comparing canonical encodings and skip both the log append and the
-// install, so reads and converged AE rounds do not grow the WAL.
+// and anti-entropy ingest path).
 func (s *Store) SyncKey(key string, remote core.State) error {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -230,54 +197,21 @@ func (s *Store) SyncKey(key string, remote core.State) error {
 		oldMeta = s.mech.MetadataBytes(st)
 	}
 	merged := s.mech.Sync(st, remote)
-	// Merging emptiness into an absent key must stay a no-op in every
-	// mode: installing it would grow Len() and the key listing for a key
-	// that holds nothing. Siblings and MetadataBytes are arithmetic (no
-	// encode), so this costs the in-memory hot path nothing.
+	// Merging emptiness into an absent key must stay a no-op: installing
+	// it would grow Len() and the key listing for a key that holds
+	// nothing. Siblings and MetadataBytes are arithmetic (no encode), so
+	// this costs the hot path nothing.
 	if !ok && s.mech.Siblings(merged) == 0 && s.mech.MetadataBytes(merged) == 0 {
 		return nil
 	}
-	var hash uint64
-	if s.wal != nil {
-		// Frame the WAL record (the canonical key+state payload of
-		// record.go, laid out inline so the state's start is known); the
-		// merged state's encoding within it doubles as the no-op check
-		// against the old state's encoding — an exact compare, not a
-		// hash: a collision here would silently drop a durable write.
-		w := codec.GetPooledWriter()
-		w.String(key)
-		mark := w.Len()
-		s.mech.EncodeState(w, merged)
-		// st is the empty state when the key is missing, so this also
-		// catches an empty remote merged into an absent key — which must
-		// not install the key or grow the log.
-		old := codec.GetPooledWriter()
-		s.mech.EncodeState(old, st)
-		same := bytes.Equal(old.Bytes(), w.Bytes()[mark:])
-		codec.PutPooledWriter(old)
-		if same {
-			codec.PutPooledWriter(w)
-			return nil // no-op merge: nothing new to persist or install
-		}
-		hash = HashEncoded(w.Bytes()[mark:]) // reuse the WAL record's state bytes
-		err := s.wal.Append(w.Bytes())
-		codec.PutPooledWriter(w)
-		if err != nil {
-			return fmt.Errorf("storage: sync %q: %w", key, err)
-		}
-		s.walAppends.Add(1)
-	} else {
-		hash = HashState(s.mech, merged)
-	}
-	s.install(sh, key, merged, ok, oldMeta, hash)
+	s.install(sh, key, merged, ok, oldMeta, HashState(s.mech, merged))
 	s.syncs.Add(1)
 	return nil
 }
 
 // EncodeStateEqual reports whether two states have identical canonical
-// encodings, using pooled scratch writers — the one exact state-equality
-// helper shared by the WAL no-op-merge check above and the node's
-// hint-retirement compare.
+// encodings, using pooled scratch writers — an exact compare, not a hash
+// (the node's hint-retirement check).
 func EncodeStateEqual(m core.Mechanism, a, b core.State) bool {
 	wa, wb := codec.GetPooledWriter(), codec.GetPooledWriter()
 	m.EncodeState(wa, a)
@@ -425,8 +359,8 @@ func (s *Store) EncodeKey(key string, w *codec.Writer) bool {
 	return true
 }
 
-// Stats reports operation counters. The WAL fields are zero for in-memory
-// stores; the cache/segment fields are zero for the memory engine.
+// Stats reports operation counters. The WAL fields are zero for the
+// in-memory Store; the cache/segment fields are the tiered engine's.
 type Stats struct {
 	Engine            string
 	Puts, Gets, Syncs uint64
@@ -434,15 +368,15 @@ type Stats struct {
 
 	// WALAppends counts records written ahead of installs; WALSyncs counts
 	// fsync calls (group commit makes WALSyncs ≤ WALAppends under
-	// concurrency); Checkpoints counts completed snapshot+truncate cycles.
+	// concurrency); Checkpoints counts completed checkpoints.
 	WALAppends, WALSyncs uint64
 	Checkpoints          uint64
 
 	// Tiered-engine counters. CacheBytes is the resident hot-set size
 	// (bounded by the memory budget); CacheHits/CacheMisses classify reads
-	// by whether the state was hot; Spills counts dirty evictions written
-	// to segments; Faults counts cold states read back from segments;
-	// Segments is the number of on-disk segment files.
+	// by whether the state was hot; Spills counts dirty states written to
+	// segments, by eviction or checkpoint; Faults counts cold states read
+	// back from segments; Segments is the number of on-disk segment files.
 	CacheBytes             int64
 	CacheHits, CacheMisses uint64
 	Spills, Faults         uint64
@@ -451,114 +385,21 @@ type Stats struct {
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		Engine:      EngineMemory,
-		Puts:        s.puts.Load(),
-		Gets:        s.gets.Load(),
-		Syncs:       s.syncs.Load(),
-		Keys:        s.Len(),
-		WALAppends:  s.walAppends.Load(),
-		Checkpoints: s.checkpoints.Load(),
+	return Stats{
+		Engine: EngineMemory,
+		Puts:   s.puts.Load(),
+		Gets:   s.gets.Load(),
+		Syncs:  s.syncs.Load(),
+		Keys:   s.Len(),
 	}
-	if s.wal != nil {
-		_, _, st.WALSyncs = s.wal.Stats()
-	}
-	return st
 }
 
-// ---------------------------------------------------------------------------
-// Persistence: length-framed (key, state) records.
-// ---------------------------------------------------------------------------
+// Recovery, WALSize, FailWALAt, InjectFaults, Checkpoint and Close complete
+// the Engine contract for a store with no disk: they do nothing.
 
-// Save writes the whole store to w as framed records in sorted key order.
-// Shards are locked one key at a time, so a concurrent writer is never
-// stalled for the whole dump; keys written mid-save may or may not be
-// included.
-func (s *Store) Save(w io.Writer) error {
-	for _, k := range s.Keys() {
-		cw := codec.NewWriter(256)
-		cw.String(k)
-		if !s.EncodeKey(k, cw) {
-			continue // deleted since listing; nothing to persist
-		}
-		if err := codec.WriteFrame(w, cw.Bytes()); err != nil {
-			return fmt.Errorf("storage: save %q: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// Load replaces the store's content with records read from r until EOF.
-// Decoding happens outside any lock; the swap then proceeds shard by
-// shard.
-//
-// A torn tail — the stream ending mid-frame, as a crash mid-write leaves
-// it — is tolerated, mirroring WAL replay: the intact record prefix is
-// kept and the number of discarded tail bytes is returned, so callers can
-// surface the damage (Open counts it in RecoveryInfo and rewrites a clean
-// snapshot) instead of losing keys silently. A record that is fully
-// present but does not decode is mid-file damage and fails with
-// ErrCorruptRecord: recovery must not silently skip over rot in the
-// middle of the image.
-func (s *Store) Load(r io.Reader) (torn int64, err error) {
-	fresh := make([]map[string]core.State, len(s.shards))
-	freshHash := make([]map[string]uint64, len(s.shards))
-	for i := range fresh {
-		fresh[i] = make(map[string]core.State)
-		freshHash[i] = make(map[string]uint64)
-	}
-	br := newByteReader(r)
-	var good int64 // offset just past the last intact record
-	for {
-		frame, err := codec.ReadFrame(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				break // clean end at a frame boundary
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				torn = br.offset - good // torn tail: keep the intact prefix
-				break
-			}
-			return 0, fmt.Errorf("storage: load: %w", err)
-		}
-		key, st, derr := decodeRecord(s.mech, frame)
-		if derr != nil {
-			return 0, fmt.Errorf("storage: load key %q: %w (%w)", key, derr, ErrCorruptRecord)
-		}
-		idx := fnv64a(key) & s.mask
-		fresh[idx][key] = st
-		// The record's state bytes are already canonical — hash them
-		// directly instead of re-encoding the decoded state.
-		fr := codec.NewReader(frame)
-		_ = fr.String() // skip the key field
-		freshHash[idx][key] = HashEncoded(frame[len(frame)-fr.Remaining():])
-		good += 4 + int64(len(frame))
-	}
-	var keys, meta int64
-	for _, m := range fresh {
-		keys += int64(len(m))
-		for _, st := range m {
-			meta += int64(s.mech.MetadataBytes(st))
-		}
-	}
-	// Load replaces the whole content, so the tree and bucket index are
-	// rebuilt from scratch (Load runs at recovery time, before concurrent
-	// use — openStore replays the WAL over it afterwards through install).
-	s.tree.Reset()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.data = fresh[i]
-		sh.hashes = freshHash[i]
-		sh.buckets = make(map[int][]string)
-		for k, h := range freshHash[i] {
-			b := antientropy.TreeBucketOf(k)
-			sh.buckets[b] = append(sh.buckets[b], k)
-			s.tree.Update(k, 0, false, h)
-		}
-		sh.mu.Unlock()
-	}
-	s.keyCount.Store(keys)
-	s.metaBytes.Store(meta)
-	return torn, nil
-}
+func (s *Store) Recovery() RecoveryInfo  { return RecoveryInfo{} }
+func (s *Store) WALSize() int64          { return 0 }
+func (s *Store) FailWALAt(int64, func()) {}
+func (s *Store) InjectFaults(*Faults)    {}
+func (s *Store) Checkpoint() error       { return nil }
+func (s *Store) Close() error            { return nil }

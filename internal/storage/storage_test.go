@@ -1,15 +1,12 @@
 package storage
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dot"
 )
@@ -137,135 +134,6 @@ func TestKeyHashDetectsDivergence(t *testing.T) {
 	_, _ = b.Put("k", m.EmptyContext(), []byte("v2"), core.WriteInfo{Server: "S2", Client: "c2"})
 	if a.KeyHash("k") == b.KeyHash("k") {
 		t.Fatal("diverged states hash equal")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	for name, m := range core.Registry() {
-		t.Run(name, func(t *testing.T) {
-			s := New(m)
-			for i := 0; i < 5; i++ {
-				k := fmt.Sprintf("key-%d", i)
-				_, _ = s.Put(k, m.EmptyContext(), []byte(fmt.Sprintf("v%d", i)), core.WriteInfo{Server: "S1", Client: "c1"})
-				_, _ = s.Put(k, m.EmptyContext(), []byte(fmt.Sprintf("w%d", i)), core.WriteInfo{Server: "S2", Client: "c2"})
-			}
-			var buf bytes.Buffer
-			if err := s.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			s2 := New(m)
-			if _, err := s2.Load(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(s2.Keys(), s.Keys()) {
-				t.Fatalf("keys = %v, want %v", s2.Keys(), s.Keys())
-			}
-			for _, k := range s.Keys() {
-				a, _ := s.Get(k)
-				b, _ := s2.Get(k)
-				if !reflect.DeepEqual(vals(a), vals(b)) {
-					t.Fatalf("key %s: %v != %v", k, vals(a), vals(b))
-				}
-			}
-		})
-	}
-}
-
-func TestLoadCorruptInput(t *testing.T) {
-	// A truncated trailing frame is a torn tail (crash mid-write): Load
-	// keeps the intact prefix and succeeds. A fully present record that
-	// does not decode is mid-file damage and fails explicitly.
-	s := New(core.NewDVV())
-	torn, err := s.Load(bytes.NewReader([]byte{0, 0, 0, 3, 1, 2}))
-	if err != nil {
-		t.Fatalf("torn trailing frame should be tolerated, got %v", err)
-	}
-	if torn != 6 {
-		t.Fatalf("torn = %d, want all 6 bytes of the partial frame", torn)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("torn-tail load kept %d keys, want 0", s.Len())
-	}
-	_, err = s.Load(bytes.NewReader([]byte{0, 0, 0, 2, 0xFF, 0xFF}))
-	if err == nil {
-		t.Fatal("expected error on corrupt record")
-	}
-	if !errors.Is(err, ErrCorruptRecord) {
-		t.Fatalf("corrupt record error = %v, want ErrCorruptRecord", err)
-	}
-}
-
-func TestLoadTornTailKeepsPrefix(t *testing.T) {
-	// Save several keys, truncate the image mid-record: Load must recover
-	// exactly the intact record prefix and report the discarded bytes.
-	m := core.NewDVV()
-	s := New(m)
-	for i := 0; i < 8; i++ {
-		_, _ = s.Put(fmt.Sprintf("key-%d", i), m.EmptyContext(), []byte("v"),
-			core.WriteInfo{Server: "S1", Client: "c1"})
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	img := buf.Bytes()
-	for _, cut := range []int{len(img) - 1, len(img) - 3, len(img) / 2, 5, 2} {
-		s2 := New(m)
-		torn, err := s2.Load(bytes.NewReader(img[:cut]))
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		// Every byte of the prefix is either part of a recovered record or
-		// reported torn (records here are uniform size, len(img)/8).
-		if rec := len(img) / 8; s2.Len()*rec+int(torn) != cut {
-			t.Fatalf("cut=%d: %d recovered records × %d + %d torn ≠ %d", cut, s2.Len(), rec, torn, cut)
-		}
-		if s2.Len() >= s.Len() && cut < len(img) {
-			t.Fatalf("cut=%d: kept %d keys from a truncated image of %d", cut, s2.Len(), s.Len())
-		}
-		// Every key recovered must hold exactly what the full store holds.
-		for _, k := range s2.Keys() {
-			a, _ := s.Get(k)
-			b, _ := s2.Get(k)
-			if !reflect.DeepEqual(vals(a), vals(b)) {
-				t.Fatalf("cut=%d key %s: %v != %v", cut, k, vals(b), vals(a))
-			}
-		}
-	}
-}
-
-func TestLoadMidFileDamageFails(t *testing.T) {
-	m := core.NewDVV()
-	s := New(m)
-	for i := 0; i < 8; i++ {
-		_, _ = s.Put(fmt.Sprintf("key-%d", i), m.EmptyContext(), []byte("value"),
-			core.WriteInfo{Server: "S1", Client: "c1"})
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	img := bytes.Clone(buf.Bytes())
-	// Corrupt a byte inside an early record's payload such that decoding
-	// fails: blow up the first record's sibling count (the byte right
-	// after the key field).
-	frame, err := codec.ReadFrame(bytes.NewReader(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := codec.NewReader(frame)
-	key := fr.String()
-	// Offset of the sibling-count byte inside the file: 4 (frame header) +
-	// key field length.
-	off := 4 + 1 + len(key)
-	img[off] = 0xFF
-	s2 := New(m)
-	_, lerr := s2.Load(bytes.NewReader(img))
-	if lerr == nil {
-		t.Fatal("expected error on mid-file damage")
-	}
-	if !errors.Is(lerr, ErrCorruptRecord) {
-		t.Fatalf("mid-file damage error = %v, want ErrCorruptRecord", lerr)
 	}
 }
 

@@ -1,21 +1,43 @@
-// The tiered engine: a byte-budgeted hot cache over immutable spill
-// segments. Every key's *index slot* (its name, sizes and segment
-// coordinates; pointer-free, see tindex.go) stays in memory, but only the
-// hottest sibling states do — an LRU per shard, bounded so the whole
-// engine holds MemBudget bytes of state while the keyspace on disk is
-// 10-100x larger. Cold reads fault the state back in from its segment;
-// evictions spill dirty states out.
+// The tiered engine, the one durable engine: a byte-budgeted hot cache
+// over immutable spill segments. Every key's *index slot* (its name, sizes
+// and segment coordinates; pointer-free, see tindex.go) stays in memory,
+// but only the hottest sibling states do — an LRU per shard, bounded so
+// the whole engine holds MemBudget bytes of state while the keyspace on
+// disk is 10-100x larger. Cold reads fault the state back in from its
+// segment; evictions spill dirty states out. Under the EngineMemory
+// policy the budget is unbounded: nothing is evicted, and only recovery
+// leaves states cold.
 //
-// Durability keeps PR 4's WAL discipline intact: every mutation appends to
-// the WAL before installing, under the shard lock. Spills deliberately do
-// NOT fsync — a spilled record's durable copy is still its WAL record —
-// and the incremental checkpoint is what retires the log: rotate the WAL,
-// walk the shards spilling dirty entries (each shard locked only for its
-// own walk — no stop-the-world snapshot), fsync the active segment, then
-// drop the retired log. Recovery scans segments oldest→newest (the newest
-// record for a key wins, valid because installs are monotone:
-// Sync(old, new) == new), replays the WAL over that index with fault-in
-// merges, and compacts.
+// On-disk layout inside the data directory:
+//
+//	LOCK          — flock'd against a second owner (see lockDir)
+//	wal.log       — the active write-ahead log (see wal.go)
+//	wal.prev      — the retired log, present only between a checkpoint's
+//	                rotation and its completion
+//	seg-*.dat     — immutable spill segments (see segment.go)
+//
+// Every mutation appends its post-state to the WAL *before* installing it
+// in memory, both steps under the key's shard lock. That single critical
+// section is what makes checkpoints race-free without quiescing writers:
+// when Checkpoint rotates the WAL and then walks the shards, any record
+// that went to the retired log was installed by a writer still holding
+// (or having released) its shard lock, so the walk — which takes each
+// shard lock — necessarily observes it and spills it. A record can only
+// miss the walk if it landed in the *new* log, which the checkpoint keeps.
+// Spills deliberately do NOT fsync — a spilled record's durable copy is
+// still its WAL record — so the checkpoint fsyncs the active segment
+// before it drops the retired log.
+//
+// Recovery scans segments oldest→newest (the newest record for a key
+// wins, valid because installs are monotone: Sync(old, new) == new), then
+// replays wal.prev and wal.log over that index, merging every record
+// through the mechanism's Sync — a join, so replay is idempotent and
+// order-insensitive: a record replayed twice, or one that also made it
+// into a segment, converges to the same state. A recovering replica
+// therefore restarts with every acknowledged write and with per-key dot
+// counters at least as high as any it ever issued — it cannot mint a
+// duplicate dot (dots are minted from MaxDot over the recovered sibling
+// sets).
 //
 // Lock order is shard.mu → segments.mu and shard.mu → tbuckets.mu;
 // nothing ever takes them the other way, and no two shard locks are ever
@@ -30,15 +52,26 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/antientropy"
 	"repro/internal/codec"
 	"repro/internal/core"
 )
 
-// Tiered is the memory-bounded durable engine. It is always durable: a
-// data directory is required, and the same WAL-before-install contract as
-// the memory engine holds (a nil error from Put/SyncKey means durable).
+// Data-directory file names.
+const (
+	walName     = "wal.log"
+	walPrevName = "wal.prev"
+	lockName    = "LOCK"
+	// legacySnapshotName is the whole-store image an earlier map engine
+	// wrote. Open refuses a directory holding one rather than come up
+	// without the keys only it holds.
+	legacySnapshotName = "snapshot.dat"
+)
+
+// Tiered is the durable engine. A data directory is required, and every
+// mutation is written ahead: a nil error from Put/SyncKey means durable.
 //
 // Read-path methods (Get, Snapshot, Siblings, KeyHash, EncodeKey) panic if
 // a cold state's segment read fails: the key verifiably exists but its
@@ -75,16 +108,22 @@ type Tiered struct {
 	cacheBytes        atomic.Int64
 }
 
-// openTiered creates (or recovers) a tiered engine in o.Dir: segments are
-// scanned oldest→newest to rebuild the cold index, the WAL is replayed
-// over it with fault-in merges, and a compaction flushes whatever the
-// replay dirtied so the engine starts with an empty log. The engine comes
-// up entirely cold — the cache warms from the workload, not recovery.
-func openTiered(mech core.Mechanism, o Options) (*Tiered, error) {
+// openTiered creates (or recovers) a tiered engine in o.Dir whose hot
+// cache holds at most budget bytes: segments are scanned oldest→newest to
+// rebuild the cold index, the WAL is replayed over it with fault-in
+// merges, and a compaction flushes whatever the replay dirtied so the
+// engine starts with an empty log. The engine comes up entirely cold —
+// the cache warms from the workload, not recovery.
+func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 	if o.Dir == "" {
-		return nil, errors.New("storage: tiered engine requires a data dir")
+		return nil, errors.New("storage: open: empty data dir")
 	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("storage: open %s: %w", o.Dir, err)
+	}
+	if _, err := os.Stat(filepath.Join(o.Dir, legacySnapshotName)); err == nil {
+		return nil, fmt.Errorf("storage: open %s: %s is a whole-store snapshot this engine cannot read; its keys would be lost", o.Dir, legacySnapshotName)
+	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("storage: open %s: %w", o.Dir, err)
 	}
 	shards := o.Shards
@@ -94,10 +133,6 @@ func openTiered(mech core.Mechanism, o Options) (*Tiered, error) {
 	n := 1
 	for n < shards {
 		n <<= 1
-	}
-	budget := o.MemBudget
-	if budget <= 0 {
-		budget = DefaultMemBudget
 	}
 	t := &Tiered{
 		mech:   mech,
@@ -173,16 +208,17 @@ func openTiered(mech core.Mechanism, o Options) (*Tiered, error) {
 		}
 		t.recovery.TornBytes += torn
 	}
-	// SnapshotKeys plays the same role as the memory engine's snapshot
-	// count: keys recovered from the compacted base (here, the segments).
+	// SnapshotKeys counts the keys recovered from the compacted base.
 	t.recovery.SnapshotKeys = int(t.keyCount.Load())
 
 	if t.segs, err = openSegments(o.Dir, ids); err != nil {
 		return nil, err
 	}
 
-	// Replay the WAL over the index, oldest segment first (see openStore
-	// for why wal.prev may exist and why Sync makes double-replay safe).
+	// Replay the WAL over the index, oldest log first. wal.prev exists
+	// only if a checkpoint crashed (or failed) between rotating and
+	// finishing; its records may or may not be in a segment — Sync makes
+	// either fine.
 	prevPath := filepath.Join(o.Dir, walPrevName)
 	_, serr := os.Stat(prevPath)
 	hadPrev := serr == nil
@@ -197,8 +233,11 @@ func openTiered(mech core.Mechanism, o Options) (*Tiered, error) {
 		t.recovery.TornBytes += torn
 	}
 
-	// Compact: spill what the replay dirtied, make it durable, drop the
-	// logs — snapshot-first ordering, exactly like openStore.
+	// Compact before the engine goes live, but only when recovery
+	// replayed something: a clean restart must not rewrite anything. The
+	// order is segments-first: the logs are dropped only after the spills
+	// holding their records are durable, so no crash here ever leaves a
+	// record whose only copy was just deleted.
 	if t.recovery.WALRecords > 0 || t.recovery.TornBytes > 0 || hadPrev {
 		if err := t.flushDirty(); err != nil {
 			return nil, fmt.Errorf("storage: open %s: compact: %w", o.Dir, err)
@@ -222,6 +261,11 @@ func openTiered(mech core.Mechanism, o Options) (*Tiered, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Persist the directory entries before the first append is acked: on
+	// a fresh directory nothing above has fsynced the dir, and an fsynced
+	// wal.log whose *name* a power cut can drop protects nothing. The
+	// parent gets the same treatment so a just-created data dir cannot
+	// itself vanish.
 	if err := syncDir(o.Dir); err != nil {
 		w.Close()
 		return nil, err
@@ -422,10 +466,10 @@ func (t *Tiered) Get(key string) (core.ReadResult, bool) {
 	return t.mech.Read(sh.state(i)), true
 }
 
-// Put applies a client write to key. Same contract as the memory engine:
-// the post-state is WAL-committed before it is installed, under the shard
-// lock, so a nil return means durable and an error leaves memory (and the
-// dot counters a recovered replica re-mints from) untouched.
+// Put applies a client write to key. The post-state is WAL-committed
+// before it is installed, under the shard lock, so a nil return means
+// durable and an error leaves memory (and the dot counters a recovered
+// replica re-mints from) untouched.
 func (t *Tiered) Put(key string, ctx core.Context, value []byte, w core.WriteInfo) (core.ReadResult, error) {
 	sh, kh, i := t.lookup(key)
 	defer sh.mu.Unlock()
@@ -455,10 +499,11 @@ func (t *Tiered) Put(key string, ctx core.Context, value []byte, w core.WriteInf
 	return t.mech.Read(ns), nil
 }
 
-// SyncKey merges a remote state for key into the local one, with the same
-// no-op-merge detection as the memory engine: a merge that changes nothing
-// skips the WAL append, the install and the dirty bit, so converged
-// anti-entropy rounds do not grow the log or re-spill.
+// SyncKey merges a remote state for key into the local one. A merge that
+// changes nothing — detected by comparing canonical encodings, exactly,
+// not by hash: a collision would silently drop a durable write — skips the
+// WAL append, the install and the dirty bit, so read-path folds and
+// converged anti-entropy rounds do not grow the log or re-spill.
 func (t *Tiered) SyncKey(key string, remote core.State) error {
 	sh, kh, i := t.lookup(key)
 	defer sh.mu.Unlock()
@@ -679,9 +724,15 @@ func (t *Tiered) flushDirty() error {
 // Checkpoint incrementally compacts the log: rotate the WAL aside, spill
 // the dirty deltas shard by shard (writers only ever wait on their own
 // shard lock — no stop-the-world image), fsync the active segment, then
-// drop the retired log. The wal.prev-preserving rule is the memory
-// engine's: if a previous checkpoint died between rotating and finishing,
-// this round skips rotation and just covers the old segment's records.
+// drop the retired log. A crash at any point leaves a directory Open
+// recovers exactly.
+//
+// If a retired log from a previously failed checkpoint still exists,
+// rotation is skipped this round: that log may be the only durable copy
+// of acked writes, and rotating over it would destroy them. Its records
+// are in memory (installed before it was rotated, or replayed by Open),
+// so the walk below spills them and it is deleted afterwards; the active
+// log just keeps growing until the next checkpoint rotates normally.
 func (t *Tiered) Checkpoint() error {
 	t.ckptMu.Lock()
 	defer t.ckptMu.Unlock()
@@ -717,4 +768,42 @@ func (t *Tiered) Close() error {
 	unlockDir(t.lock)
 	t.lock = nil
 	return err
+}
+
+// lockDir takes the exclusive directory lock: two owners appending to one
+// log would interleave frames from independent file positions — mid-file
+// damage recovery rightly refuses to repair. Held until Close; the kernel
+// drops it if the process dies, so a crashed owner never wedges the
+// directory.
+func lockDir(dir string) (*os.File, error) {
+	lf, err := os.OpenFile(filepath.Join(dir, lockName), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: open %s: %w", dir, err)
+	}
+	if err := syscall.Flock(int(lf.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lf.Close()
+		return nil, fmt.Errorf("storage: open %s: already in use by another store (flock: %w)", dir, err)
+	}
+	return lf, nil
+}
+
+// unlockDir releases a lockDir handle.
+func unlockDir(lf *os.File) {
+	if lf != nil {
+		syscall.Flock(int(lf.Fd()), syscall.LOCK_UN)
+		lf.Close()
+	}
+}
+
+// syncDir fsyncs a directory so a rename or create within it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("storage: sync dir: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("storage: sync dir %s: %w", dir, err)
+	}
+	return nil
 }

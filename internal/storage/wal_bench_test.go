@@ -97,11 +97,11 @@ func BenchmarkStorePut(b *testing.B) {
 		durable bool
 		sync    bool
 	}{{"memory", false, false}, {"wal", true, false}, {"wal-fsync", true, true}} {
-		mk := func(b *testing.B) *Store {
+		mk := func(b *testing.B) Engine {
 			if !mode.durable {
 				return New(mech)
 			}
-			s, err := openStore(mech, Options{Dir: b.TempDir(), Fsync: mode.sync})
+			s, err := Open(mech, Options{Dir: b.TempDir(), Fsync: mode.sync})
 			if err != nil {
 				b.Fatal(err)
 			}
