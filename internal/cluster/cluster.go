@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/node"
@@ -643,9 +644,10 @@ func (cl *Client) GetWith(ctx context.Context, key string, opts node.ReadOptions
 		}
 		cctx, cancel := context.WithTimeout(ctx, cl.cluster.timeout)
 		defer cancel()
-		resp, err := cl.cluster.Transport.Send(cctx, cl.ID, to, transport.Request{
-			Method: node.MethodGet, Body: node.EncodeGetRequest(cl.cluster.mech, key, opts),
-		})
+		w := codec.GetPooledWriter()
+		defer codec.PutPooledWriter(w) // Send keeps no reference to the body
+		node.WriteGetRequest(w, cl.cluster.mech, key, opts)
+		resp, err := cl.cluster.Transport.Send(cctx, cl.ID, to, transport.Request{Method: node.MethodGet, Body: w.Bytes()})
 		if err != nil {
 			// Transport-level failure (timeout, unreachable): the
 			// coordinator itself wasted this client's time — eject it.
@@ -709,10 +711,10 @@ func (cl *Client) PutWith(ctx context.Context, key string, value []byte, token T
 		}
 		cctx, cancel := context.WithTimeout(ctx, cl.cluster.timeout)
 		defer cancel()
-		resp, err := cl.cluster.Transport.Send(cctx, cl.ID, to, transport.Request{
-			Method: node.MethodPut,
-			Body:   node.EncodePutRequest(cl.cluster.mech, key, value, cl.ID, opts),
-		})
+		w := codec.GetPooledWriter()
+		defer codec.PutPooledWriter(w) // Send keeps no reference to the body
+		node.WritePutRequest(w, cl.cluster.mech, key, value, cl.ID, opts)
+		resp, err := cl.cluster.Transport.Send(cctx, cl.ID, to, transport.Request{Method: node.MethodPut, Body: w.Bytes()})
 		if err != nil {
 			cl.cluster.noteEject(to) // same rule as GetWith: transport failures only
 			return fmt.Errorf("cluster: put %q: %w", key, err)

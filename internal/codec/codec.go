@@ -14,6 +14,7 @@
 package codec
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -204,6 +205,15 @@ func (r *Reader) take(n uint64) []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	return string(r.take(r.Uvarint()))
+}
+
+// BytesFieldView reads length-prefixed bytes without copying: the result
+// aliases the reader's input (capacity clipped, so appending to it never
+// overwrites what follows). It suits inputs that are never reused, such
+// as a freshly read frame; otherwise use BytesField.
+func (r *Reader) BytesFieldView() []byte {
+	b := r.take(r.Uvarint())
+	return b[:len(b):len(b)]
 }
 
 // BytesField reads length-prefixed bytes (copied, safe to retain).
@@ -492,23 +502,32 @@ func AppendFrame(dst, payload []byte) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
-// ReadFrame reads one length-framed message. A clean end of stream at a
-// frame boundary returns io.EOF unwrapped; any mid-frame truncation is
-// reported as io.ErrUnexpectedEOF so callers can tell the two apart.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one length-framed message from br. The header is
+// peeked out of br's buffer, so a frame that arrived whole costs at most
+// one read syscall, and frames that arrived together share one. The
+// returned payload is freshly allocated — the one allocation per frame —
+// and never reused, so it may be decoded in place and retained. A clean
+// end of stream at a frame boundary returns io.EOF unwrapped; any
+// mid-frame truncation is reported as io.ErrUnexpectedEOF so callers can
+// tell the two apart.
+func ReadFrame(br *bufio.Reader) ([]byte, error) {
+	hdr, err := br.Peek(FrameOverhead)
+	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF // clean boundary
+			if len(hdr) == 0 {
+				return nil, io.EOF // clean boundary
+			}
+			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("codec: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxLen {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrCorrupt, n)
 	}
+	_, _ = br.Discard(FrameOverhead) // cannot fail: the bytes are buffered
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if _, err := io.ReadFull(br, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}

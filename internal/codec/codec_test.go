@@ -1,8 +1,10 @@
 package codec
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -226,16 +228,16 @@ func TestVVRoundTripQuick(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var raw []byte
-	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xAA}, 4096)}
+	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xAA}, 4096), bytes.Repeat([]byte{0xBB}, 10000)}
 	for _, p := range payloads {
 		var err error
 		if raw, err = AppendFrame(raw, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf := bytes.NewReader(raw)
+	br := bufio.NewReader(bytes.NewReader(raw))
 	for _, want := range payloads {
-		got, err := ReadFrame(buf)
+		got, err := ReadFrame(br)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,20 +245,112 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame = %v, want %v", got, want)
 		}
 	}
+	if _, err := ReadFrame(br); err != io.EOF {
+		t.Fatalf("after the last frame: err = %v, want io.EOF unwrapped", err)
+	}
 }
 
+// TestReadFrameTruncated cuts a two-frame stream at every byte: a cut at
+// a frame boundary is a clean io.EOF, and a cut anywhere inside a frame —
+// header or payload — is io.ErrUnexpectedEOF.
 func TestReadFrameTruncated(t *testing.T) {
-	raw, _ := AppendFrame(nil, []byte{1, 2, 3})
-	raw = raw[:5] // cut mid-payload
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
-		t.Fatal("expected error on truncated frame")
+	first, _ := AppendFrame(nil, []byte{1, 2, 3})
+	raw, _ := AppendFrame(append([]byte(nil), first...), []byte{4, 5, 6, 7})
+	for cut := 0; cut < len(raw); cut++ {
+		br := bufio.NewReader(bytes.NewReader(raw[:cut]))
+		var err error
+		for err == nil {
+			_, err = ReadFrame(br)
+		}
+		if cut == 0 || cut == len(first) {
+			if err != io.EOF {
+				t.Errorf("cut at boundary %d: err = %v, want io.EOF unwrapped", cut, err)
+			}
+			continue
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut inside a frame at %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
+		}
 	}
 }
 
 func TestReadFrameHugeLengthRejected(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// countingReader counts Read calls on the stream under a bufio.Reader.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReadFrameCoalescedFramesOneRead: frames that arrive together (one
+// coalesced flush) are read with one Read on the underlying stream, not
+// two per frame.
+func TestReadFrameCoalescedFramesOneRead(t *testing.T) {
+	var raw []byte
+	for i := 0; i < 20; i++ {
+		raw, _ = AppendFrame(raw, bytes.Repeat([]byte{byte(i)}, 40))
+	}
+	src := &countingReader{r: bytes.NewReader(raw)}
+	br := bufio.NewReader(src)
+	for i := 0; i < 20; i++ {
+		if _, err := ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src.reads != 1 {
+		t.Fatalf("20 coalesced frames took %d reads, want 1", src.reads)
+	}
+}
+
+// TestBytesFieldViewAliases: the view shares the input's bytes (and its
+// capacity stops at the field, so appending cannot clobber what follows),
+// while BytesField still returns a private copy.
+func TestBytesFieldViewAliases(t *testing.T) {
+	w := NewWriter(0)
+	w.BytesField([]byte("body"))
+	w.Byte(0x7F)
+	in := w.Bytes()
+
+	r := NewReader(in)
+	view := r.BytesFieldView()
+	if r.Byte() != 0x7F || r.Err() != nil {
+		t.Fatalf("reader misaligned after view: err %v", r.Err())
+	}
+	cp := NewReader(in).BytesField()
+	if string(view) != "body" || string(cp) != "body" {
+		t.Fatalf("view %q, copy %q", view, cp)
+	}
+	if &view[0] != &in[1] {
+		t.Fatal("BytesFieldView copied its bytes")
+	}
+	if &cp[0] == &in[1] {
+		t.Fatal("BytesField aliases its input")
+	}
+	if cap(view) != len(view) {
+		t.Fatalf("view cap %d, want %d", cap(view), len(view))
+	}
+	in[1] = 'B'
+	if string(view) != "Body" || string(cp) != "body" {
+		t.Fatalf("after mutating the input: view %q, copy %q", view, cp)
+	}
+	_ = append(view, 'X')
+	if in[len(in)-1] != 0x7F {
+		t.Fatal("appending to the view overwrote the next field")
+	}
+
+	bad := NewReader([]byte{5, 'a'})
+	if v := bad.BytesFieldView(); v != nil || !errors.Is(bad.Err(), ErrTruncated) {
+		t.Fatalf("truncated view = %q, err %v", v, bad.Err())
 	}
 }
 

@@ -483,9 +483,10 @@ func fail(err error) transport.Response {
 
 // The request path reuses codec's shared writer pool so steady-state puts
 // and gets don't allocate a fresh writer (and its growth doublings) per
-// RPC. Writers handed to the transport are returned to the pool only
-// after Send returns (both transports are synchronous); encoded bodies
-// that outlive the call are copied out at their exact size.
+// RPC. A request body encoded into a pooled writer is handed to Send and
+// the writer is returned only after Send returns: Send copies the body
+// into its frame and keeps no reference to it. Encoded bodies that
+// outlive the call are copied out at their exact size.
 func getWriter() *codec.Writer  { return codec.GetPooledWriter() }
 func putWriter(w *codec.Writer) { codec.PutPooledWriter(w) }
 
@@ -494,22 +495,33 @@ func putWriter(w *codec.Writer) { codec.PutPooledWriter(w) }
 // ---------------------------------------------------------------------------
 
 // EncodeGetRequest builds a MethodGet body: the key plus the request's
-// read options (consistency level, not-found rule, session floor).
+// read options (consistency level, not-found rule, session floor). The
+// returned slice is an exact-size copy owned by the caller; senders that
+// can return a pooled writer after Send use WriteGetRequest instead.
 func EncodeGetRequest(m core.Mechanism, key string, opts ReadOptions) []byte {
-	w := codec.NewWriter(32 + len(key))
+	w := getWriter()
+	defer putWriter(w)
+	WriteGetRequest(w, m, key, opts)
+	return bytes.Clone(w.Bytes())
+}
+
+// WriteGetRequest appends EncodeGetRequest's body to w.
+func WriteGetRequest(w *codec.Writer, m core.Mechanism, key string, opts ReadOptions) {
 	w.String(key)
 	EncodeReadOptions(w, m, opts)
-	return w.Bytes()
 }
 
 // EncodeReplGetRequest builds a MethodReplGet body. Replica-internal
 // fetches are options-free: they always read exactly one replica's local
 // state.
 func EncodeReplGetRequest(key string) []byte {
-	w := codec.NewWriter(16 + len(key))
-	w.String(key)
-	return w.Bytes()
+	w := getWriter()
+	defer putWriter(w)
+	writeReplGetRequest(w, key)
+	return bytes.Clone(w.Bytes())
 }
+
+func writeReplGetRequest(w *codec.Writer, key string) { w.String(key) }
 
 // EncodeReadResult encodes sibling values plus mechanism context — the
 // body of get and put responses. The scratch writer is pooled; the
@@ -850,9 +862,10 @@ func (n *Node) forwardGet(ctx context.Context, to dot.ID, key string, opts ReadO
 	n.bump(func(s *Stats) { s.Forwards++ })
 	cctx, cancel := context.WithTimeout(ctx, n.cfg.Timeout)
 	defer cancel()
-	resp, err := n.cfg.Transport.Send(cctx, n.cfg.ID, to, transport.Request{
-		Method: MethodGet, Body: EncodeGetRequest(n.cfg.Mech, key, opts),
-	})
+	w := getWriter()
+	defer putWriter(w)
+	WriteGetRequest(w, n.cfg.Mech, key, opts)
+	resp, err := n.cfg.Transport.Send(cctx, n.cfg.ID, to, transport.Request{Method: MethodGet, Body: w.Bytes()})
 	if err != nil {
 		return core.ReadResult{}, fmt.Errorf("node: forward get to %s: %w", to, err)
 	}
@@ -913,13 +926,21 @@ func (n *Node) repairAsync(key string, merged core.State, peers []dot.ID) {
 
 // EncodePutRequest builds a MethodPut body: key, writer identity, value,
 // then the request's write options (level, causal context, session floor).
+// The returned slice is an exact-size copy owned by the caller; senders
+// that can return a pooled writer after Send use WritePutRequest instead.
 func EncodePutRequest(m core.Mechanism, key string, value []byte, client dot.ID, opts WriteOptions) []byte {
-	w := codec.NewWriter(64 + len(value))
+	w := getWriter()
+	defer putWriter(w)
+	WritePutRequest(w, m, key, value, client, opts)
+	return bytes.Clone(w.Bytes())
+}
+
+// WritePutRequest appends EncodePutRequest's body to w.
+func WritePutRequest(w *codec.Writer, m core.Mechanism, key string, value []byte, client dot.ID, opts WriteOptions) {
 	w.String(key)
 	w.String(string(client))
 	w.BytesField(value)
 	EncodeWriteOptions(w, m, opts)
-	return w.Bytes()
 }
 
 func (n *Node) handlePut(ctx context.Context, from dot.ID, body []byte) transport.Response {
@@ -1203,10 +1224,10 @@ func (n *Node) forwardPut(ctx context.Context, to dot.ID, key string, value []by
 	n.bump(func(s *Stats) { s.Forwards++ })
 	cctx, cancel := context.WithTimeout(ctx, n.cfg.Timeout)
 	defer cancel()
-	resp, err := n.cfg.Transport.Send(cctx, n.cfg.ID, to, transport.Request{
-		Method: MethodPut,
-		Body:   EncodePutRequest(n.cfg.Mech, key, value, client, opts),
-	})
+	w := getWriter()
+	defer putWriter(w)
+	WritePutRequest(w, n.cfg.Mech, key, value, client, opts)
+	resp, err := n.cfg.Transport.Send(cctx, n.cfg.ID, to, transport.Request{Method: MethodPut, Body: w.Bytes()})
 	if err != nil {
 		return core.ReadResult{}, fmt.Errorf("node: forward put to %s: %w", to, err)
 	}
@@ -1221,10 +1242,11 @@ func (n *Node) forwardPut(ctx context.Context, to dot.ID, key string, value []by
 // ---------------------------------------------------------------------------
 
 func (n *Node) replGet(ctx context.Context, peer dot.ID, key string) (core.State, bool, error) {
+	w := getWriter()
+	defer putWriter(w)
+	writeReplGetRequest(w, key)
 	start := time.Now()
-	resp, err := n.cfg.Transport.Send(ctx, n.cfg.ID, peer, transport.Request{
-		Method: MethodReplGet, Body: EncodeReplGetRequest(key),
-	})
+	resp, err := n.cfg.Transport.Send(ctx, n.cfg.ID, peer, transport.Request{Method: MethodReplGet, Body: w.Bytes()})
 	dur := time.Since(start)
 	n.rpcCost.record(peer, dur)
 	if err != nil {

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -42,5 +43,65 @@ func TestReadPathAllocBounds(t *testing.T) {
 				t.Errorf("handleReplGet of a hot key: %.1f allocs/op, want ≤ 2", got)
 			}
 		})
+	}
+}
+
+// TestRequestPathAllocBounds pins what one coordinated client request
+// allocates end to end over a loopback 3-node cluster — the client's
+// encode, Send and decode, the coordinator's handler and its replica
+// RPCs, and every frame of them both ways. The mux's share is one payload
+// per inbound frame plus one handler goroutine per request; the rest is
+// per-RPC deadlines, the clock kernel and the node's decodes and reply
+// copies. Puts chain the previous reply's context, so the key stays at
+// one sibling.
+func TestRequestPathAllocBounds(t *testing.T) {
+	nodes, tr, r := testCluster(t, 3, nil)
+	const key = "hot"
+	coord := ownerOf(t, nodes, r, key)
+	m := coord.cfg.Mech
+	ctx := context.Background()
+	w := getWriter()
+	defer putWriter(w)
+	var wctx core.Context
+	send := func(method string) {
+		resp, err := tr.Send(ctx, "client", coord.ID(), transport.Request{Method: method, Body: w.Bytes()})
+		if err == nil {
+			err = transport.AppError(resp)
+		}
+		var rr core.ReadResult
+		if err == nil {
+			rr, err = DecodeReadResult(m, resp.Body)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		wctx = rr.Ctx
+	}
+	put := func() {
+		w.Reset()
+		WritePutRequest(w, m, key, []byte("value"), "client", WriteOptions{Context: wctx})
+		send(MethodPut)
+	}
+	get := func() {
+		w.Reset()
+		WriteGetRequest(w, m, key, ReadOptions{NotFoundOK: true})
+		send(MethodGet)
+	}
+	for i := 0; i < 50; i++ { // dial every connection, warm the pools
+		put()
+		get()
+	}
+	for _, c := range []struct {
+		name  string
+		op    func()
+		bound float64
+	}{{"put", put, 82}, {"get", get, 54}} { // measured 79 and 51
+		got := testing.AllocsPerRun(300, c.op)
+		if bound := c.bound + raceAllocSlack; got > bound {
+			t.Errorf("coordinated %s: %.1f allocs/op, want ≤ %.0f", c.name, got, bound)
+		}
+	}
+	if n := coord.Store().Siblings(key); n != 1 {
+		t.Fatalf("Siblings = %d, want 1", n)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"math/rand"
@@ -31,6 +32,14 @@ import (
 // the outbound queue, coalescing every queued frame into a single
 // buffer per flush — one kernel write carries as many frames as arrived
 // while the previous flush was in flight (writev-style batching).
+//
+// The frame path allocates once per inbound frame: the reader reads
+// through one buffered reader per connection (at most one read syscall
+// per frame, one per coalesced flush when frames arrive together), and
+// request and response bodies are decoded in place, aliasing that frame.
+// Outbound frames are encoded into pooled writers that the writer loop
+// returns once it has copied them, and each request's reply channel comes
+// from a per-connection free list.
 //
 // Deadlines are per request, not per connection: a request whose context
 // expires fails at the caller while the connection — and every other
@@ -93,6 +102,12 @@ const (
 	// muxHelloTimeout bounds how long an accepted connection may take to
 	// identify itself before it is dropped.
 	muxHelloTimeout = 5 * time.Second
+	// muxFreeReplies caps each connection's free list of reply channels;
+	// past it, a channel that has delivered its value is left to the GC.
+	muxFreeReplies = 32
+	// muxMaxMethods caps each connection's method-name intern table;
+	// names past it are allocated per frame.
+	muxMaxMethods = 64
 )
 
 type dialState struct {
@@ -112,10 +127,17 @@ type muxConn struct {
 	owner *Mux
 	peer  dot.ID
 	nc    net.Conn
-	wq    chan []byte
+	br    *bufio.Reader // nc's one reader, from the hello on
+	wq    chan *codec.Writer
+
+	// methods interns inbound method names; only readLoop touches it.
+	methods map[string]string
 
 	mu      sync.Mutex
 	pending map[uint64]chan muxResult
+	// free holds reply channels that delivered their one value to Send;
+	// nothing else holds them, so register hands them out again.
+	free    []chan muxResult
 	nextReq uint64
 	failed  bool
 	err     error
@@ -256,12 +278,16 @@ func (t *Mux) Reconnects() uint64 { return t.reconnects.Load() }
 // Connection establishment.
 // ---------------------------------------------------------------------------
 
-func (t *Mux) newConn(peer dot.ID, nc net.Conn) *muxConn {
+// newConn wraps nc. br must be the reader that read the hello, if any: a
+// dialer may send requests right behind it, already in br's buffer.
+func (t *Mux) newConn(peer dot.ID, nc net.Conn, br *bufio.Reader) *muxConn {
 	return &muxConn{
 		owner:   t,
 		peer:    peer,
 		nc:      nc,
-		wq:      make(chan []byte, muxQueueFrames),
+		br:      br,
+		wq:      make(chan *codec.Writer, muxQueueFrames),
+		methods: make(map[string]string),
 		pending: make(map[uint64]chan muxResult),
 		dead:    make(chan struct{}),
 	}
@@ -311,8 +337,9 @@ func (t *Mux) conn(ctx context.Context, to dot.ID) (*muxConn, error) {
 			return nil, fmt.Errorf("%w: no address for %q", ErrUnreachable, to)
 		}
 		if ds := t.dial[to]; ds != nil && time.Now().Before(ds.until) {
+			fails := ds.fails // a failing dial may bump it once we unlock
 			t.mu.Unlock()
-			return nil, fmt.Errorf("%w: dial backoff for %q (%d consecutive failures)", ErrUnreachable, to, ds.fails)
+			return nil, fmt.Errorf("%w: dial backoff for %q (%d consecutive failures)", ErrUnreachable, to, fails)
 		}
 		if ch := t.dialing[to]; ch != nil {
 			t.mu.Unlock()
@@ -366,13 +393,13 @@ func (t *Mux) dialPeer(ctx context.Context, to dot.ID, addr string) (*muxConn, e
 		t.mu.Unlock()
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnreachable, addr, err)
 	}
-	c := t.newConn(to, nc)
+	c := t.newConn(to, nc, bufio.NewReader(nc))
 	// The hello must be the first frame on the wire; the queue is fresh,
 	// so this cannot block.
-	w := codec.NewWriter(16 + len(t.self))
+	w := codec.GetPooledWriter()
 	w.Byte(muxKindHello)
 	w.String(string(t.self))
-	c.wq <- w.Bytes()
+	c.wq <- w
 
 	t.mu.Lock()
 	select {
@@ -444,7 +471,8 @@ func (t *Mux) handshake(nc net.Conn) {
 		t.mu.Unlock()
 	}()
 	_ = nc.SetReadDeadline(time.Now().Add(muxHelloTimeout))
-	frame, err := codec.ReadFrame(nc)
+	br := bufio.NewReader(nc)
+	frame, err := codec.ReadFrame(br)
 	if err != nil {
 		nc.Close()
 		return
@@ -461,7 +489,7 @@ func (t *Mux) handshake(nc net.Conn) {
 		nc.Close()
 		return
 	}
-	t.startConn(t.newConn(peer, nc))
+	t.startConn(t.newConn(peer, nc, br))
 }
 
 // ---------------------------------------------------------------------------
@@ -519,7 +547,7 @@ func (c *muxConn) abandon(err error) {
 func (c *muxConn) readLoop() {
 	defer c.owner.wg.Done()
 	for {
-		frame, err := codec.ReadFrame(c.nc)
+		frame, err := codec.ReadFrame(c.br)
 		if err != nil {
 			c.fail(fmt.Errorf("transport: recv from %s: %w", c.peer, err))
 			return
@@ -528,13 +556,15 @@ func (c *muxConn) readLoop() {
 			c.fail(fmt.Errorf("transport: empty frame from %s", c.peer))
 			return
 		}
+		// The frame is never reused, so bodies alias it instead of being
+		// copied out, and a handler may retain req.Body.
 		r := codec.NewReader(frame[1:])
 		switch frame[0] {
 		case muxKindRequest:
 			reqID := r.Uvarint()
-			from := dot.ID(r.String())
-			method := r.String()
-			body := r.BytesField()
+			from := r.ID()
+			method := c.method(r.BytesFieldView())
+			body := r.BytesFieldView()
 			r.ExpectEOF()
 			if r.Err() != nil {
 				c.fail(fmt.Errorf("transport: corrupt request from %s: %w", c.peer, r.Err()))
@@ -547,37 +577,11 @@ func (c *muxConn) readLoop() {
 			// the connection with fast ones. The readLoop holds a WaitGroup
 			// slot while it runs, so this Add cannot race Close's Wait.
 			c.owner.wg.Add(1)
-			go func() {
-				defer c.owner.wg.Done()
-				var resp Response
-				if h == nil {
-					resp = Response{Err: "no handler registered"}
-				} else {
-					resp = h(context.Background(), from, Request{Method: method, Body: body})
-				}
-				w := codec.NewWriter(16 + len(resp.Err) + len(resp.Body))
-				w.Byte(muxKindResponse)
-				w.Uvarint(reqID)
-				w.String(resp.Err)
-				w.BytesField(resp.Body)
-				if w.Len() > codec.MaxFrameBytes {
-					// The response cannot cross the wire; report that to
-					// the requester instead of killing the connection.
-					w = codec.NewWriter(64)
-					w.Byte(muxKindResponse)
-					w.Uvarint(reqID)
-					w.String("response exceeds frame limit")
-					w.BytesField(nil)
-				}
-				select {
-				case c.wq <- w.Bytes():
-				case <-c.dead: // conn died; response is moot
-				}
-			}()
+			go c.serve(h, reqID, from, Request{Method: method, Body: body})
 		case muxKindResponse:
 			reqID := r.Uvarint()
 			errStr := r.String()
-			body := r.BytesField()
+			body := r.BytesFieldView()
 			r.ExpectEOF()
 			if r.Err() != nil {
 				c.fail(fmt.Errorf("transport: corrupt response from %s: %w", c.peer, r.Err()))
@@ -601,6 +605,49 @@ func (c *muxConn) readLoop() {
 	}
 }
 
+// method returns the interned method name spelled by b, so steady-state
+// requests allocate no method string.
+func (c *muxConn) method(b []byte) string {
+	if m, ok := c.methods[string(b)]; ok {
+		return m
+	}
+	m := string(b)
+	if len(c.methods) < muxMaxMethods {
+		c.methods[m] = m
+	}
+	return m
+}
+
+// serve runs the handler for one inbound request and queues its response.
+func (c *muxConn) serve(h Handler, reqID uint64, from dot.ID, req Request) {
+	defer c.owner.wg.Done()
+	var resp Response
+	if h == nil {
+		resp = Response{Err: "no handler registered"}
+	} else {
+		resp = h(context.Background(), from, req)
+	}
+	w := codec.GetPooledWriter()
+	w.Byte(muxKindResponse)
+	w.Uvarint(reqID)
+	w.String(resp.Err)
+	w.BytesField(resp.Body)
+	if w.Len() > codec.MaxFrameBytes {
+		// The response cannot cross the wire; report that to the
+		// requester instead of killing the connection.
+		w.Reset()
+		w.Byte(muxKindResponse)
+		w.Uvarint(reqID)
+		w.String("response exceeds frame limit")
+		w.BytesField(nil)
+	}
+	select {
+	case c.wq <- w:
+	case <-c.dead: // conn died; response is moot
+		codec.PutPooledWriter(w)
+	}
+}
+
 // writeLoop drains the outbound queue. Every frame queued while the
 // previous flush was on the wire is coalesced into one buffer and handed
 // to the kernel in a single write.
@@ -608,7 +655,7 @@ func (c *muxConn) writeLoop() {
 	defer c.owner.wg.Done()
 	var buf []byte
 	for {
-		var first []byte
+		var first *codec.Writer
 		select {
 		case first = <-c.wq:
 		case <-c.dead:
@@ -616,12 +663,12 @@ func (c *muxConn) writeLoop() {
 		}
 		buf = buf[:0]
 		var err error
-		buf, err = codec.AppendFrame(buf, first)
+		buf, err = appendFrame(buf, first)
 		frames := uint64(1)
 		for err == nil && len(buf) < muxFlushBytes {
 			select {
-			case f := <-c.wq:
-				buf, err = codec.AppendFrame(buf, f)
+			case w := <-c.wq:
+				buf, err = appendFrame(buf, w)
 				frames++
 			default:
 				goto flush
@@ -641,11 +688,21 @@ func (c *muxConn) writeLoop() {
 	}
 }
 
+// appendFrame frames w's bytes onto buf and returns w to the pool.
+func appendFrame(buf []byte, w *codec.Writer) ([]byte, error) {
+	buf, err := codec.AppendFrame(buf, w.Bytes())
+	codec.PutPooledWriter(w)
+	return buf, err
+}
+
 // ---------------------------------------------------------------------------
 // Send.
 // ---------------------------------------------------------------------------
 
-// register allocates a request id and its result channel.
+// register allocates a request id and its result channel, reusing one
+// from the free list when it can. Every sender on a pending channel
+// (readLoop, abandon, fail) removes it from pending under c.mu before
+// sending, so each channel receives exactly one value.
 func (c *muxConn) register() (uint64, chan muxResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -653,9 +710,27 @@ func (c *muxConn) register() (uint64, chan muxResult, error) {
 		return 0, nil, c.err
 	}
 	c.nextReq++
-	ch := make(chan muxResult, 1)
+	var ch chan muxResult
+	if n := len(c.free); n > 0 {
+		ch = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		ch = make(chan muxResult, 1)
+	}
 	c.pending[c.nextReq] = ch
 	return c.nextReq, ch, nil
+}
+
+// release puts back a reply channel Send has received its one value
+// from: no sender holds it any more. A channel whose value was never
+// received (an abandoned request) is never released.
+func (c *muxConn) release(ch chan muxResult) {
+	c.mu.Lock()
+	if len(c.free) < muxFreeReplies {
+		c.free = append(c.free, ch)
+	}
+	c.mu.Unlock()
 }
 
 func (c *muxConn) unregister(id uint64) {
@@ -667,7 +742,8 @@ func (c *muxConn) unregister(id uint64) {
 // Send delivers req to `to` over the shared connection and waits for the
 // matching response. The context bounds only this request: on expiry the
 // request fails but the connection (and other in-flight requests) live
-// on.
+// on. req.Body is copied into the outbound frame, so the caller may reuse
+// it once Send returns.
 func (t *Mux) Send(ctx context.Context, from, to dot.ID, req Request) (Response, error) {
 	select {
 	case <-t.done:
@@ -682,7 +758,7 @@ func (t *Mux) Send(ctx context.Context, from, to dot.ID, req Request) (Response,
 	if err != nil {
 		return Response{}, fmt.Errorf("transport: send to %s: %w", to, err)
 	}
-	w := codec.NewWriter(48 + len(req.Body))
+	w := codec.GetPooledWriter()
 	w.Byte(muxKindRequest)
 	w.Uvarint(reqID)
 	w.String(string(from))
@@ -691,21 +767,27 @@ func (t *Mux) Send(ctx context.Context, from, to dot.ID, req Request) (Response,
 	// Reject oversized frames here, where only this request fails; an
 	// error surfacing inside the shared writer loop would tear down the
 	// connection and every other in-flight request with it.
-	if w.Len() > codec.MaxFrameBytes {
+	if n := w.Len(); n > codec.MaxFrameBytes {
+		codec.PutPooledWriter(w)
 		c.unregister(reqID)
-		return Response{}, fmt.Errorf("transport: send to %s: frame of %d bytes exceeds limit", to, w.Len())
+		return Response{}, fmt.Errorf("transport: send to %s: frame of %d bytes exceeds limit", to, n)
 	}
+	// Once queued, w belongs to the writer loop, which returns it to the
+	// pool after copying it into a flush.
 	select {
-	case c.wq <- w.Bytes():
+	case c.wq <- w:
 	case <-c.dead:
+		codec.PutPooledWriter(w)
 		c.unregister(reqID)
 		return Response{}, fmt.Errorf("transport: send to %s: %w", to, c.err)
 	case <-ctx.Done():
+		codec.PutPooledWriter(w)
 		c.unregister(reqID)
 		return Response{}, fmt.Errorf("transport: send to %s: %w", to, ctx.Err())
 	}
 	select {
 	case res := <-ch:
+		c.release(ch)
 		if res.err != nil {
 			return Response{}, fmt.Errorf("transport: send to %s: %w", to, res.err)
 		}
@@ -715,6 +797,7 @@ func (t *Mux) Send(ctx context.Context, from, to dot.ID, req Request) (Response,
 		// A response may have raced the deadline; prefer it.
 		select {
 		case res := <-ch:
+			c.release(ch)
 			if res.err == nil {
 				return res.resp, nil
 			}

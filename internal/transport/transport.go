@@ -24,6 +24,11 @@ import (
 )
 
 // Request is one RPC request.
+//
+// Body ownership: Send copies Body onto the wire and keeps no reference
+// to it, so a caller may reuse req.Body (a pooled encode buffer) once
+// Send returns. An inbound request's Body aliases the frame it arrived
+// in; that frame is never reused, so a handler may retain it.
 type Request struct {
 	Method string
 	Body   []byte
@@ -31,7 +36,8 @@ type Request struct {
 
 // Response is one RPC response. Err carries an application-level error
 // message (empty = success); transport-level failures surface as Go errors
-// from Send.
+// from Send. The Body Send returns aliases its inbound frame, which is
+// never reused: the caller owns it and may retain it.
 type Response struct {
 	Err  string
 	Body []byte
@@ -44,7 +50,8 @@ type Handler func(ctx context.Context, from dot.ID, req Request) Response
 // Transport delivers requests to named nodes.
 type Transport interface {
 	// Send delivers req to node `to` and waits for its response. The
-	// context bounds the whole exchange.
+	// context bounds the whole exchange. Send must not retain req.Body
+	// after it returns.
 	Send(ctx context.Context, from, to dot.ID, req Request) (Response, error)
 	// Register installs the handler for node id, replacing any previous
 	// registration.
