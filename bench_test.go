@@ -277,9 +277,11 @@ func BenchmarkDVVSetSync(b *testing.B) {
 }
 
 // S1 — storage engine contention. The same Get/Put workload runs against
-// the sharded engine and the one-shard (single-RWMutex) baseline at
-// several goroutine counts; the sharded store must not lose throughput as
-// goroutines are added. GOMAXPROCS is pinned per sub-benchmark so
+// the 64-shard in-memory engine and the one-shard (single-mutex) baseline
+// at several goroutine counts; the sharded engine must not lose throughput
+// as goroutines are added. Every access, reads included, takes its
+// shard's exclusive lock, so the spread only shows on a multi-core
+// machine. GOMAXPROCS is pinned per sub-benchmark so
 // "goroutines-N" means exactly N concurrent workers under b.RunParallel.
 func benchStoreParallel(b *testing.B, putEvery int) {
 	for _, shards := range []int{1, 64} {

@@ -35,9 +35,9 @@
 // a wide vector costs one string allocation per distinct id ever seen, not
 // per entry.
 //
-// Each replica's local state lives in a sharded storage engine
+// Each replica's local state lives in one sharded storage engine
 // (internal/storage): keys hash onto a power-of-two array of shards, each
-// with its own RWMutex, so concurrent request handlers only contend when
+// with its own mutex, so concurrent request handlers only contend when
 // they touch the same slice of the keyspace. Per-key operations are
 // linearizable per key; whole-store walks (key listing, metadata
 // accounting, persistence, anti-entropy scans) proceed shard by shard and
@@ -65,8 +65,9 @@
 // more than half under concurrency. The benchmark ledger in benchmark/
 // measures the whole path over real TCP loopback.
 //
-// Replicas are crash-safe when given a data directory (storage.Open,
-// node.Config.DataDir, dvvstore -data): every mutation is written ahead
+// Without a data directory that engine keeps every state in memory. Given
+// one (storage.Open, node.Config.DataDir, dvvstore -data), replicas are
+// crash-safe: every mutation is written ahead
 // to a CRC-framed, group-committed log before it is installed or acked,
 // checkpoints spill dirty states to on-disk segments and truncate the log,
 // and recovery indexes the segments, then replays the WAL through the

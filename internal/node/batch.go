@@ -11,7 +11,7 @@ package node
 // repl.batch RPCs instead of N round trips. Membership handoff sends its
 // key streams in the same frames (HandoffTo). The frame is a Sync-mergeable
 // (key, state)* stream, and the receiver folds every pair in with
-// Store.SyncKey, so a batch is idempotent and safe to interleave with live
+// Engine.SyncKey, so a batch is idempotent and safe to interleave with live
 // writes — exactly the property that makes coalescing correct: merging is
 // order-insensitive and repeat-tolerant.
 //

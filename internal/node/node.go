@@ -94,18 +94,18 @@ type Config struct {
 	// suspicion.
 	SuspicionWindow time.Duration
 
-	// DataDir enables durable storage: the node's store is opened with
-	// storage.Open (the tiered engine: write-ahead log + spill segments)
-	// in this directory and recovers its pre-crash state — including
-	// every per-key dot counter it ever issued — on restart; states come
-	// back cold (see storage.Options.Engine). Empty means in-memory only.
+	// DataDir enables durable storage: the node's engine keeps a
+	// write-ahead log and spill segments in this directory and recovers
+	// its pre-crash state — including every per-key dot counter it ever
+	// issued — on restart; states come back cold (see
+	// storage.Options.Engine). Empty means in-memory only: the same
+	// engine with no log and no segments.
 	DataDir string
 
-	// Engine selects the durable engine's residency policy
-	// (storage.EngineMemory or storage.EngineTiered; empty means memory).
-	// Memory never evicts; tiered bounds resident states to MemBudget
-	// bytes and requires DataDir.
-	// Without DataDir the node's store is the in-memory map either way.
+	// Engine selects the engine's residency policy (storage.EngineMemory
+	// or storage.EngineTiered; empty means memory). Memory never evicts;
+	// tiered bounds resident states to MemBudget bytes and requires
+	// DataDir.
 	Engine string
 
 	// MemBudget bounds the hot-cache bytes under the tiered policy
@@ -176,9 +176,6 @@ func (c *Config) validate() error {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.Engine == storage.EngineTiered && c.DataDir == "" {
-		return errors.New("node: engine=tiered requires DataDir")
 	}
 	return nil
 }
@@ -348,18 +345,12 @@ func New(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	var st storage.Engine
-	if cfg.DataDir != "" {
-		var err error
-		st, err = storage.Open(cfg.Mech, storage.Options{
-			Engine: cfg.Engine, Dir: cfg.DataDir,
-			Fsync: cfg.Fsync, MemBudget: cfg.MemBudget,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("node %s: %w", cfg.ID, err)
-		}
-	} else {
-		st = storage.NewSharded(cfg.Mech, storage.DefaultShards)
+	st, err := storage.Open(cfg.Mech, storage.Options{
+		Engine: cfg.Engine, Dir: cfg.DataDir,
+		Fsync: cfg.Fsync, MemBudget: cfg.MemBudget,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("node %s: %w", cfg.ID, err)
 	}
 	n := &Node{
 		cfg:       cfg,

@@ -430,21 +430,17 @@ func RunDurabilityOverhead(cfg DurabilityConfig) (*stats.Table, error) {
 	mech := core.NewDVV()
 	for _, md := range modes {
 		for _, writers := range []int{1, cfg.Writers} {
-			var s storage.Engine
 			var dir string
 			if md.durable {
 				var err error
-				dir, err = os.MkdirTemp("", "dvv-durability-*")
-				if err != nil {
+				if dir, err = os.MkdirTemp("", "dvv-durability-*"); err != nil {
 					return nil, err
 				}
-				s, err = storage.Open(mech, storage.Options{Dir: dir, Fsync: md.fsync})
-				if err != nil {
-					os.RemoveAll(dir)
-					return nil, err
-				}
-			} else {
-				s = storage.New(mech)
+			}
+			s, err := storage.Open(mech, storage.Options{Dir: dir, Fsync: md.fsync})
+			if err != nil {
+				os.RemoveAll(dir)
+				return nil, err
 			}
 			total := cfg.Puts * writers
 			start := time.Now()

@@ -1,19 +1,26 @@
-// Engine is the pluggable storage contract: the exact surface the replica
-// server (internal/node) consumes from its local store. Two types
-// implement it —
+// Package storage is a replica's local multi-version store: every key
+// holds a mechanism-owned sibling state (concurrent versions plus their
+// causal metadata), and remote states merge in through the mechanism's
+// Sync. The store is mechanism-generic — the same engine backs a DVV
+// replica, a client-VV replica or the causal-history oracle — and is safe
+// for concurrent use by a replica's request handlers and anti-entropy
+// loop.
 //
-//	*Store  — the sharded in-memory map: no disk, nothing survives a
-//	          restart (nodes without a data directory, the sims, tests)
-//	*Tiered — the durable engine: a hot cache over immutable on-disk
-//	          segments, behind a WAL, with incremental checkpoints
-//	          (tiered.go). Every data directory is opened as a Tiered.
+// One type implements the Engine contract: *Tiered (tiered.go), whose keys
+// hash (FNV-1a) onto a power-of-two array of lock shards. With no data
+// directory (New, NewSharded, Open without Dir) every state stays resident
+// and nothing survives the process. With one, every mutation is written
+// ahead to a log, and Options.Engine either keeps every state resident or
+// bounds them to a byte budget and spills the rest to segments.
 //
-// — so the node, cluster, sim and CLI layers hold an Engine without
-// knowing its representation, and the conformance suite runs the same
-// contract tests over both.
+// Whole-store operations (Keys, TreeBucketKeys) walk the shards one at a
+// time, so they are per-shard-consistent rather than a point-in-time
+// snapshot; the anti-entropy and accounting paths that use them reconverge
+// on the next round.
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -22,7 +29,7 @@ import (
 )
 
 // Residency policies accepted by Options.Engine and the -engine CLI flags.
-// Both open the tiered engine; they differ only in its byte budget.
+// They differ only in the engine's byte budget.
 const (
 	EngineMemory = "memory"
 	EngineTiered = "tiered"
@@ -32,16 +39,19 @@ const (
 // Options.MemBudget is zero.
 const DefaultMemBudget = 64 << 20 // 64 MiB
 
-// Options parameterises a durable engine.
+// Options parameterises Open.
 type Options struct {
 	// Engine selects the residency policy. EngineMemory (or empty) gives
 	// the cache no byte budget: nothing is evicted. EngineTiered bounds
 	// the resident states to MemBudget bytes and spills the rest to
-	// segments. After a restart both come back cold: a write faults its
-	// key's state back in, while reads (Snapshot, EncodeKey, Siblings)
-	// serve a cold state from its segment without installing it.
+	// segments, so it needs Dir. After a restart both come back cold: a
+	// write faults its key's state back in, while reads (Snapshot,
+	// EncodeKey, Siblings) serve a cold state from its segment without
+	// installing it.
 	Engine string
-	// Dir is the data directory (created if missing).
+	// Dir is the data directory (created if missing). Empty opens an
+	// in-memory engine: no log, no segments, nothing survives the
+	// process, and Faults and Fsync are ignored.
 	Dir string
 	// Shards is the lock-shard count (0 = DefaultShards).
 	Shards int
@@ -77,13 +87,17 @@ type RecoveryInfo struct {
 	TornBytes    int64 // torn-tail bytes discarded (WAL and segment files)
 }
 
-// Engine is a replica's local multi-version store. All methods are safe
-// for concurrent use. The mutation methods follow the write-ahead
-// discipline on durable engines: returning nil means the mutation is
-// durable, and a failed append leaves memory untouched.
+// Engine is the exact surface the replica server (internal/node) consumes
+// from its local store, so the node, cluster, sim and CLI layers hold an
+// Engine without knowing its residency. *Tiered is its one
+// implementation, and the conformance suite runs the contract tests over
+// each residency. All methods are safe for concurrent use. With a data
+// directory the mutation methods follow the write-ahead discipline:
+// returning nil means the mutation is durable, and a failed append leaves
+// memory untouched.
 type Engine interface {
-	// Name identifies the engine: "memory" for *Store, "tiered" for
-	// *Tiered whatever its residency policy.
+	// Name identifies the engine: "memory" with no directory, "tiered"
+	// with one, whatever its residency policy.
 	Name() string
 	// Mechanism returns the causality mechanism states belong to.
 	Mechanism() core.Mechanism
@@ -125,8 +139,8 @@ type Engine interface {
 	// Stats returns a snapshot of the engine's counters.
 	Stats() Stats
 
-	// The durability surface below is a no-op on *Store, which has no
-	// disk.
+	// The durability surface below does nothing on an engine with no
+	// directory.
 
 	// Recovery returns what opening found on disk.
 	Recovery() RecoveryInfo
@@ -144,21 +158,20 @@ type Engine interface {
 	Close() error
 }
 
-// Interface conformance.
-var (
-	_ Engine = (*Store)(nil)
-	_ Engine = (*Tiered)(nil)
-)
+var _ Engine = (*Tiered)(nil)
 
-// Open creates (or recovers) the durable engine in o.Dir: always a Tiered,
-// whose byte budget o.Engine selects — none under EngineMemory (or
-// empty), o.MemBudget under EngineTiered.
+// Open returns the engine o describes: in memory when o.Dir is empty,
+// otherwise created (or recovered) in o.Dir, with the byte budget o.Engine
+// selects — none under EngineMemory (or empty), o.MemBudget under
+// EngineTiered.
 func Open(mech core.Mechanism, o Options) (Engine, error) {
-	var budget int64
+	budget := int64(math.MaxInt64) // whole keyspace resident: nothing is evicted
 	switch o.Engine {
 	case "", EngineMemory:
-		budget = math.MaxInt64 // whole keyspace resident: nothing is evicted
 	case EngineTiered:
+		if o.Dir == "" {
+			return nil, errors.New("storage: open: the tiered policy needs a data dir")
+		}
 		budget = o.MemBudget
 		if budget <= 0 {
 			budget = DefaultMemBudget
@@ -166,8 +179,15 @@ func Open(mech core.Mechanism, o Options) (Engine, error) {
 	default:
 		return nil, fmt.Errorf("storage: unknown engine %q (want %s or %s)", o.Engine, EngineMemory, EngineTiered)
 	}
-	t, err := openTiered(mech, o, budget)
-	if err != nil {
+	shards := o.Shards
+	if shards < 1 {
+		shards = DefaultShards
+	}
+	t := newTiered(mech, shards, budget)
+	if o.Dir == "" {
+		return t, nil
+	}
+	if err := t.open(o); err != nil {
 		return nil, err
 	}
 	if o.Faults != nil {

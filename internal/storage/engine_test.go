@@ -1,13 +1,14 @@
 package storage
 
-// Engine-conformance suite: every contract test here runs over the engines
-// a node can hold, so they can never drift apart on the surface the node
-// consumes —
+// Engine-conformance suite: every contract test here runs over each
+// residency a node's engine can have, so they can never drift apart on the
+// surface the node consumes —
 //
-//	memory  — Open under the EngineMemory policy (tiered, no byte budget)
-//	tiered  — Open with a deliberately tiny budget, so spill/fault paths
-//	          are always exercised
-//	sharded — NewSharded, the non-durable map (tests that never reopen)
+//	nodir  — Open with no directory: in memory, nothing on disk
+//	memory — Open in a directory under the EngineMemory policy (no byte
+//	         budget)
+//	tiered — Open in a directory with a deliberately tiny budget, so
+//	         spill/fault paths are always exercised
 
 import (
 	"bytes"
@@ -29,23 +30,31 @@ import (
 // shard.
 const tinyBudget = 16 << 10
 
-// sharded names the non-durable arm of the suite.
-const sharded = "sharded"
+// nodir names the suite's arm with no data directory.
+const nodir = "nodir"
 
 type engineTest func(t *testing.T, kind string, open func(t *testing.T, dir string) Engine)
 
-// forEachEngine runs fn once per engine kind, the non-durable map
-// included; open ignores dir for it.
+// forEachEngine runs fn once per arm; open ignores dir on the nodir arm.
 func forEachEngine(t *testing.T, fn engineTest) {
 	t.Helper()
-	runEngines(t, []string{EngineMemory, EngineTiered, sharded}, fn)
+	runEngines(t, []string{nodir, EngineMemory, EngineTiered}, fn)
 }
 
 // forEachDurable runs fn once per residency policy, each opening a fresh
-// durable engine in its directory — for tests that reopen or crash.
+// engine in its directory.
 func forEachDurable(t *testing.T, fn engineTest) {
 	t.Helper()
 	runEngines(t, []string{EngineMemory, EngineTiered}, fn)
+}
+
+// skipNoDir skips a test whose subject is what a directory holds across
+// a reopen or a crash; an engine with no directory has nothing there.
+func skipNoDir(t *testing.T, kind string) {
+	t.Helper()
+	if kind == nodir {
+		t.Skip("no directory: nothing survives Close")
+	}
 }
 
 func runEngines(t *testing.T, kinds []string, fn engineTest) {
@@ -54,12 +63,11 @@ func runEngines(t *testing.T, kinds []string, fn engineTest) {
 		t.Run(kind, func(t *testing.T) {
 			fn(t, kind, func(t *testing.T, dir string) Engine {
 				t.Helper()
-				if kind == sharded {
-					return NewSharded(core.NewDVV(), DefaultShards)
+				o := Options{Engine: kind, Dir: dir, Fsync: false, MemBudget: tinyBudget}
+				if kind == nodir {
+					o = Options{}
 				}
-				e, err := Open(core.NewDVV(), Options{
-					Engine: kind, Dir: dir, Fsync: false, MemBudget: tinyBudget,
-				})
+				e, err := Open(core.NewDVV(), o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,6 +113,57 @@ func TestEngineOpenRejectsUnknown(t *testing.T) {
 	}
 	if _, err := Open(core.NewDVV(), Options{Engine: EngineTiered}); err == nil {
 		t.Fatal("tiered engine without a dir accepted")
+	}
+}
+
+// TestNoDirEngineContract pins what an engine with no directory is: the
+// memory engine, with a durability surface that does nothing and Stats
+// that report no WAL or segment activity.
+func TestNoDirEngineContract(t *testing.T) {
+	m := core.NewDVV()
+	opened, err := Open(m, Options{Faults: new(Faults), Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]Engine{"New": New(m), "Open": opened} {
+		t.Run(name, func(t *testing.T) {
+			if e.Name() != EngineMemory {
+				t.Fatalf("Name = %q, want %q", e.Name(), EngineMemory)
+			}
+			crashed := false
+			e.FailWALAt(0, func() { crashed = true })
+			f := new(Faults)
+			f.FailNextAppends(1)
+			f.FailWrites(true)
+			e.InjectFaults(f)
+			putKeys(t, e, 50)
+			if crashed || f.Stats() != (FaultStats{}) {
+				t.Fatalf("armed failpoint or faults fired: crashed=%v %+v", crashed, f.Stats())
+			}
+			if e.WALSize() != 0 {
+				t.Fatalf("WALSize = %d", e.WALSize())
+			}
+			if e.Recovery() != (RecoveryInfo{}) {
+				t.Fatalf("Recovery = %+v", e.Recovery())
+			}
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if st.Engine != EngineMemory || st.Puts != 50 || st.Keys != 50 {
+				t.Fatalf("Stats = %+v", st)
+			}
+			if st.WALAppends != 0 || st.WALSyncs != 0 || st.Checkpoints != 0 ||
+				st.Spills != 0 || st.Faults != 0 || st.Segments != 0 || st.CacheMisses != 0 {
+				t.Fatalf("WAL or segment counters moved: %+v", st)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+		})
 	}
 }
 
@@ -339,7 +398,8 @@ func TestReadPathAllocBounds(t *testing.T) {
 // TestEngineConformanceReopen: everything written before Close is intact
 // after reopen, with identical canonical encodings.
 func TestEngineConformanceReopen(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+		skipNoDir(t, kind)
 		dir := t.TempDir()
 		e := open(t, dir)
 		const n = 400
@@ -378,7 +438,8 @@ func TestEngineConformanceReopen(t *testing.T) {
 // both policies: acked writes survive a WAL tear, the torn write is neither
 // acked nor visible, and recovery truncates the tail.
 func TestEngineConformanceCrashFailpoint(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+		skipNoDir(t, kind)
 		dir := t.TempDir()
 		e := open(t, dir)
 		m := e.Mechanism()
@@ -429,10 +490,10 @@ func TestEngineConformanceCrashFailpoint(t *testing.T) {
 }
 
 // TestEngineConformanceConcurrentCheckpoint is the -race stress: writers,
-// readers and mergers run against a checkpoint loop, then a reopen proves
-// nothing acked was lost.
+// readers and mergers run against a checkpoint loop, then a reopen (with
+// a directory) proves nothing acked was lost.
 func TestEngineConformanceConcurrentCheckpoint(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		dir := t.TempDir()
 		e := open(t, dir)
 		m := e.Mechanism()
@@ -475,6 +536,9 @@ func TestEngineConformanceConcurrentCheckpoint(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", e.Len(), writers*puts)
 		}
 		e.Close()
+		if kind == nodir {
+			return
+		}
 
 		r := open(t, dir)
 		defer r.Close()
@@ -604,9 +668,10 @@ func TestTieredStatsEngineFields(t *testing.T) {
 // property test: after an arbitrary interleaved sequence of Put, SyncKey,
 // Checkpoint and close/reopen operations, the tree every engine maintains
 // incrementally at install time must equal a from-scratch rebuild over
-// KeyHash ground truth — at every level, under both policies.
+// KeyHash ground truth — at every level, on every arm (the nodir arm
+// verifies where the others reopen).
 func TestEngineConformanceMerkleTreeMatchesRebuild(t *testing.T) {
-	forEachDurable(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
+	forEachEngine(t, func(t *testing.T, kind string, open func(*testing.T, string) Engine) {
 		dir := t.TempDir()
 		e := open(t, dir)
 		defer func() { e.Close() }()
@@ -671,6 +736,9 @@ func TestEngineConformanceMerkleTreeMatchesRebuild(t *testing.T) {
 				}
 			default: // crash-free restart: recovery must rebuild the same tree
 				verify("pre-reopen")
+				if kind == nodir {
+					continue
+				}
 				if err := e.Close(); err != nil {
 					t.Fatal(err)
 				}

@@ -255,32 +255,42 @@ func TestCheckpointCompactsAndSurvivesConcurrentWrites(t *testing.T) {
 	}
 }
 
+// TestSyncKeyNoOpMergeSkipsWAL: merging a state the engine already covers
+// is skipped — no WAL append, no install, no Syncs count — with a
+// directory and without one.
 func TestSyncKeyNoOpMergeSkipsWAL(t *testing.T) {
 	m := core.NewDVV()
-	dir := t.TempDir()
-	s := openTemp(t, m, dir, false)
-	defer s.Close()
-	if _, err := s.Put("k", m.EmptyContext(), []byte("v"), core.WriteInfo{Server: "S1", Client: "c1"}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := s.Snapshot("k")
-	before := s.WALSize()
-	// Merging a state the store already covers must not grow the log.
-	if err := s.SyncKey("k", st); err != nil {
-		t.Fatal(err)
-	}
-	if s.WALSize() != before {
-		t.Fatalf("no-op merge grew the WAL: %d -> %d", before, s.WALSize())
-	}
-	// A genuinely new state must.
-	s2 := New(m)
-	_, _ = s2.Put("k", m.EmptyContext(), []byte("other"), core.WriteInfo{Server: "S2", Client: "c2"})
-	other, _ := s2.Snapshot("k")
-	if err := s.SyncKey("k", other); err != nil {
-		t.Fatal(err)
-	}
-	if s.WALSize() == before {
-		t.Fatal("real merge did not reach the WAL")
+	durable := openTemp(t, m, t.TempDir(), false)
+	defer durable.Close()
+	for name, s := range map[string]*Tiered{"dir": durable, "nodir": New(m)} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := s.Put("k", m.EmptyContext(), []byte("v"), core.WriteInfo{Server: "S1", Client: "c1"}); err != nil {
+				t.Fatal(err)
+			}
+			st, _ := s.Snapshot("k")
+			before, syncs := s.WALSize(), s.Stats().Syncs
+			// Merging a state the store already covers must not grow the
+			// log or count as a merge.
+			if err := s.SyncKey("k", st); err != nil {
+				t.Fatal(err)
+			}
+			if s.WALSize() != before || s.Stats().Syncs != syncs {
+				t.Fatalf("no-op merge: WAL %d -> %d, Syncs %d -> %d", before, s.WALSize(), syncs, s.Stats().Syncs)
+			}
+			// A genuinely new state must.
+			s2 := New(m)
+			_, _ = s2.Put("k", m.EmptyContext(), []byte("other"), core.WriteInfo{Server: "S2", Client: "c2"})
+			other, _ := s2.Snapshot("k")
+			if err := s.SyncKey("k", other); err != nil {
+				t.Fatal(err)
+			}
+			if s.Stats().Syncs != syncs+1 {
+				t.Fatalf("real merge: Syncs %d -> %d, want +1", syncs, s.Stats().Syncs)
+			}
+			if s.wal != nil && s.WALSize() == before {
+				t.Fatal("real merge did not reach the WAL")
+			}
+		})
 	}
 }
 
@@ -535,7 +545,7 @@ func TestOpenRefusesLegacySnapshot(t *testing.T) {
 
 // newRecordPayload builds the WAL record payload (key + state) for a key
 // held by a scratch store.
-func newRecordPayload(t *testing.T, s *Store, key string) []byte {
+func newRecordPayload(t *testing.T, s *Tiered, key string) []byte {
 	t.Helper()
 	st, ok := s.Snapshot(key)
 	if !ok {

@@ -1,4 +1,4 @@
-// The tiered engine, the one durable engine: a byte-budgeted hot cache
+// The tiered engine, the one storage engine: a byte-budgeted hot cache
 // over immutable spill segments. Every key's *index slot* (its name, sizes
 // and segment coordinates; pointer-free, see tindex.go) stays in memory,
 // but only the hottest sibling states do — an LRU per shard, bounded so
@@ -6,7 +6,9 @@
 // disk is 10-100x larger. Cold reads fault the state back in from its
 // segment; evictions spill dirty states out. Under the EngineMemory
 // policy the budget is unbounded: nothing is evicted, and only recovery
-// leaves states cold.
+// leaves states cold. With no data directory the engine has no lock file,
+// WAL or segments and an unbounded budget, so every state stays resident
+// and the durability surface does nothing.
 //
 // On-disk layout inside the data directory:
 //
@@ -46,7 +48,6 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -70,8 +71,9 @@ const (
 	legacySnapshotName = "snapshot.dat"
 )
 
-// Tiered is the durable engine. A data directory is required, and every
-// mutation is written ahead: a nil error from Put/SyncKey means durable.
+// Tiered is the storage engine. With a data directory every mutation is
+// written ahead: a nil error from Put/SyncKey means durable. Without one
+// (wal == nil) it is purely in memory.
 //
 // Read-path methods (Get, Snapshot, Siblings, KeyHash, EncodeKey) panic if
 // a cold state's segment read fails: the key verifiably exists but its
@@ -108,35 +110,16 @@ type Tiered struct {
 	cacheBytes        atomic.Int64
 }
 
-// openTiered creates (or recovers) a tiered engine in o.Dir whose hot
-// cache holds at most budget bytes: segments are scanned oldest→newest to
-// rebuild the cold index, the WAL is replayed over it with fault-in
-// merges, and a compaction flushes whatever the replay dirtied so the
-// engine starts with an empty log. The engine comes up entirely cold —
-// the cache warms from the workload, not recovery.
-func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
-	if o.Dir == "" {
-		return nil, errors.New("storage: open: empty data dir")
-	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", o.Dir, err)
-	}
-	if _, err := os.Stat(filepath.Join(o.Dir, legacySnapshotName)); err == nil {
-		return nil, fmt.Errorf("storage: open %s: %s is a whole-store snapshot this engine cannot read; its keys would be lost", o.Dir, legacySnapshotName)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("storage: open %s: %w", o.Dir, err)
-	}
-	shards := o.Shards
-	if shards < 1 {
-		shards = DefaultShards
-	}
+// newTiered returns an empty engine with no directory: shards rounded up
+// to a power of two (minimum 1), the hot cache holding at most budget
+// bytes.
+func newTiered(mech core.Mechanism, shards int, budget int64) *Tiered {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
 	t := &Tiered{
 		mech:   mech,
-		dir:    o.Dir,
 		shards: make([]tshard, n),
 		mask:   uint64(n - 1),
 		budget: budget / int64(n),
@@ -145,10 +128,28 @@ func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 	for i := range t.shards {
 		t.shards[i] = newTShard(uint32(i))
 	}
+	return t
+}
 
+// open attaches the empty engine t to the data directory o.Dir, creating
+// or recovering it: segments are scanned oldest→newest to rebuild the cold
+// index, the WAL is replayed over it with fault-in merges, and a
+// compaction flushes whatever the replay dirtied so the engine starts with
+// an empty log. The engine comes up entirely cold — the cache warms from
+// the workload, not recovery.
+func (t *Tiered) open(o Options) error {
+	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+		return fmt.Errorf("storage: open %s: %w", o.Dir, err)
+	}
+	if _, err := os.Stat(filepath.Join(o.Dir, legacySnapshotName)); err == nil {
+		return fmt.Errorf("storage: open %s: %s is a whole-store snapshot this engine cannot read; its keys would be lost", o.Dir, legacySnapshotName)
+	} else if !os.IsNotExist(err) {
+		return fmt.Errorf("storage: open %s: %w", o.Dir, err)
+	}
+	t.dir = o.Dir
 	lf, err := lockDir(o.Dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t.lock = lf
 	ok := false
@@ -168,13 +169,13 @@ func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 	// earlier index entries — newest wins.
 	ids, err := listSegments(o.Dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, id := range ids {
 		var off int64
 		segID := id
 		_, torn, err := ReplayWAL(filepath.Join(o.Dir, segName(id)), func(payload []byte) error {
-			key, st, derr := decodeRecord(mech, payload)
+			key, st, derr := decodeRecord(t.mech, payload)
 			if derr != nil {
 				return derr
 			}
@@ -194,7 +195,7 @@ func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 			h := HashEncoded(stateBytes)
 			t.tree.Update(key, e.hash, existed, h)
 			e.hash = h
-			meta := int32(mech.MetadataBytes(st))
+			meta := int32(t.mech.MetadataBytes(st))
 			t.metaBytes.Add(int64(meta - e.meta))
 			e.meta = meta
 			e.size = int32(len(payload))
@@ -204,7 +205,7 @@ func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("storage: open %s: %s: %w", o.Dir, segName(id), err)
+			return fmt.Errorf("storage: open %s: %s: %w", o.Dir, segName(id), err)
 		}
 		t.recovery.TornBytes += torn
 	}
@@ -212,7 +213,7 @@ func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 	t.recovery.SnapshotKeys = int(t.keyCount.Load())
 
 	if t.segs, err = openSegments(o.Dir, ids); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Replay the WAL over the index, oldest log first. wal.prev exists
@@ -227,7 +228,7 @@ func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 			return t.applyReplay(payload)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("storage: open %s: %s: %w", o.Dir, name, err)
+			return fmt.Errorf("storage: open %s: %s: %w", o.Dir, name, err)
 		}
 		t.recovery.WALRecords += records
 		t.recovery.TornBytes += torn
@@ -240,26 +241,26 @@ func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 	// record whose only copy was just deleted.
 	if t.recovery.WALRecords > 0 || t.recovery.TornBytes > 0 || hadPrev {
 		if err := t.flushDirty(); err != nil {
-			return nil, fmt.Errorf("storage: open %s: compact: %w", o.Dir, err)
+			return fmt.Errorf("storage: open %s: compact: %w", o.Dir, err)
 		}
 		if err := t.segs.syncActive(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := os.Remove(prevPath); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("storage: open %s: drop retired wal: %w", o.Dir, err)
+			return fmt.Errorf("storage: open %s: drop retired wal: %w", o.Dir, err)
 		}
 		if err := os.Truncate(filepath.Join(o.Dir, walName), 0); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("storage: open %s: truncate wal: %w", o.Dir, err)
+			return fmt.Errorf("storage: open %s: truncate wal: %w", o.Dir, err)
 		}
 		if err := syncDir(o.Dir); err != nil {
-			return nil, err
+			return err
 		}
 		t.checkpoints.Add(1)
 	}
 
 	w, err := OpenWAL(filepath.Join(o.Dir, walName), o.Fsync)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Persist the directory entries before the first append is acked: on
 	// a fresh directory nothing above has fsynced the dir, and an fsynced
@@ -268,21 +269,27 @@ func openTiered(mech core.Mechanism, o Options, budget int64) (*Tiered, error) {
 	// itself vanish.
 	if err := syncDir(o.Dir); err != nil {
 		w.Close()
-		return nil, err
+		return err
 	}
 	if parent := filepath.Dir(o.Dir); parent != o.Dir {
 		if err := syncDir(parent); err != nil {
 			w.Close()
-			return nil, err
+			return err
 		}
 	}
 	t.wal = w
 	ok = true
-	return t, nil
+	return nil
 }
 
-// Name identifies the engine kind.
-func (t *Tiered) Name() string { return EngineTiered }
+// Name identifies the engine kind: EngineMemory with no directory,
+// EngineTiered with one.
+func (t *Tiered) Name() string {
+	if t.wal == nil {
+		return EngineMemory
+	}
+	return EngineTiered
+}
 
 // Mechanism returns the engine's causality mechanism.
 func (t *Tiered) Mechanism() core.Mechanism { return t.mech }
@@ -466,6 +473,19 @@ func (t *Tiered) Get(key string) (core.ReadResult, bool) {
 	return t.mech.Read(sh.state(i)), true
 }
 
+// append writes one record ahead of its install and counts it. With no
+// directory there is no log, and every record is accepted.
+func (t *Tiered) append(payload []byte) error {
+	if t.wal == nil {
+		return nil
+	}
+	if err := t.wal.Append(payload); err != nil {
+		return err
+	}
+	t.walAppends.Add(1)
+	return nil
+}
+
 // Put applies a client write to key. The post-state is WAL-committed
 // before it is installed, under the shard lock, so a nil return means
 // durable and an error leaves memory (and the dot counters a recovered
@@ -486,11 +506,10 @@ func (t *Tiered) Put(key string, ctx core.Context, value []byte, w core.WriteInf
 	mark := pw.Len()
 	t.mech.EncodeState(pw, ns)
 	hash := HashEncoded(pw.Bytes()[mark:])
-	if err := t.wal.Append(pw.Bytes()); err != nil {
+	if err := t.append(pw.Bytes()); err != nil {
 		codec.PutPooledWriter(pw)
 		return core.ReadResult{}, fmt.Errorf("storage: put %q: %w", key, err)
 	}
-	t.walAppends.Add(1)
 	size := pw.Len()
 	codec.PutPooledWriter(pw)
 	kept := t.installHot(sh, i, key, kh, ns, size, t.mech.MetadataBytes(ns), hash)
@@ -532,11 +551,10 @@ func (t *Tiered) SyncKey(key string, remote core.State) error {
 		return nil
 	}
 	hash := HashEncoded(w.Bytes()[mark:])
-	if err := t.wal.Append(w.Bytes()); err != nil {
+	if err := t.append(w.Bytes()); err != nil {
 		codec.PutPooledWriter(w)
 		return fmt.Errorf("storage: sync %q: %w", key, err)
 	}
-	t.walAppends.Add(1)
 	size := w.Len()
 	codec.PutPooledWriter(w)
 	kept := t.installHot(sh, i, key, kh, merged, size, t.mech.MetadataBytes(merged), hash)
@@ -641,8 +659,9 @@ func (t *Tiered) KeyHash(key string) uint64 {
 	return sh.slots[i].hash
 }
 
-// TreeDigest returns the Merkle tree hash at (level, index); see
-// Store.TreeDigest.
+// TreeDigest returns the Merkle tree hash at (level, index) — level 0 is
+// the leaf layer, antientropy.TreeRootLevel() the root. A converged
+// anti-entropy tick is one root compare instead of a keyspace walk.
 func (t *Tiered) TreeDigest(level, index int) uint64 {
 	return t.tree.Digest(level, index)
 }
@@ -666,7 +685,7 @@ func (t *Tiered) EncodeKey(key string, w *codec.Writer) bool {
 // Stats returns a snapshot of the engine's counters.
 func (t *Tiered) Stats() Stats {
 	st := Stats{
-		Engine:      EngineTiered,
+		Engine:      t.Name(),
 		Puts:        t.puts.Load(),
 		Gets:        t.gets.Load(),
 		Syncs:       t.syncs.Load(),
@@ -678,27 +697,41 @@ func (t *Tiered) Stats() Stats {
 		CacheMisses: t.misses.Load(),
 		Spills:      t.spills.Load(),
 		Faults:      t.faults.Load(),
-		Segments:    t.segs.count(),
 	}
+	if t.wal == nil {
+		return st
+	}
+	st.Segments = t.segs.count()
 	_, _, st.WALSyncs = t.wal.Stats()
 	return st
 }
 
-// Recovery returns what openTiered found on disk.
+// Recovery returns what open found on disk.
 func (t *Tiered) Recovery() RecoveryInfo { return t.recovery }
 
 // WALSize returns the log's logical offset in bytes (monotone across
 // checkpoints; the coordinate system FailWALAt offsets live in).
-func (t *Tiered) WALSize() int64 { return t.wal.Size() }
+func (t *Tiered) WALSize() int64 {
+	if t.wal == nil {
+		return 0
+	}
+	return t.wal.Size()
+}
 
 // FailWALAt arms the WAL crash failpoint (see WAL.FailAt).
 func (t *Tiered) FailWALAt(offset int64, onCrash func()) {
-	t.wal.FailAt(offset, onCrash)
+	if t.wal != nil {
+		t.wal.FailAt(offset, onCrash)
+	}
 }
 
 // InjectFaults attaches a transient disk-fault injector to the WAL (see
 // fault.go).
-func (t *Tiered) InjectFaults(f *Faults) { t.wal.SetFaults(f) }
+func (t *Tiered) InjectFaults(f *Faults) {
+	if t.wal != nil {
+		t.wal.SetFaults(f)
+	}
+}
 
 // flushDirty spills every dirty entry to the active segment, one shard
 // lock at a time — the incremental-checkpoint walk. Dirty implies hot, so
@@ -734,6 +767,9 @@ func (t *Tiered) flushDirty() error {
 // so the walk below spills them and it is deleted afterwards; the active
 // log just keeps growing until the next checkpoint rotates normally.
 func (t *Tiered) Checkpoint() error {
+	if t.wal == nil {
+		return nil
+	}
 	t.ckptMu.Lock()
 	defer t.ckptMu.Unlock()
 	prevPath := filepath.Join(t.dir, walPrevName)
@@ -761,6 +797,9 @@ func (t *Tiered) Checkpoint() error {
 // releases the directory lock. Dirty entries are not spilled: their WAL
 // records are durable and recovery replays them.
 func (t *Tiered) Close() error {
+	if t.wal == nil {
+		return nil
+	}
 	err := t.wal.Close()
 	if cerr := t.segs.close(); err == nil {
 		err = cerr

@@ -1,5 +1,5 @@
-// Write-ahead log: the append-only durability substrate under a durable
-// Store. Every mutation is appended as one CRC-framed record *before* it
+// Write-ahead log: the append-only durability substrate under an engine
+// with a data directory. Every mutation is appended as one CRC-framed record *before* it
 // is installed in memory, so a replica's in-memory state never runs ahead
 // of its disk — the invariant that makes post-crash recovery unable to
 // regress a dot counter the replica already issued (the paper-correctness
